@@ -23,7 +23,6 @@ from .network import (
 from .selection import SweepRecord, SweepResult, selection_gap, sweep
 from .spd import (
     SpdMatrix,
-    dist_affine,
     dist_euclidean,
     dist_log_euclidean,
     grad_dist_euclidean,
@@ -53,7 +52,6 @@ __all__ = [
     "composite_loss",
     "covariance",
     "cross_entropy",
-    "dist_affine",
     "dist_euclidean",
     "dist_log_euclidean",
     "entropy",

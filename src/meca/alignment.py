@@ -61,9 +61,11 @@ def covariance(
     """Second-order statistics of a batch, repaired to strict SPD.
 
     Jitter is applied here so every penalty and gradient downstream sees a
-    strictly positive definite matrix even for rank-deficient batches.
+    strictly positive definite matrix even for rank-deficient batches.  The
+    eigendecomposition waits for first use, so the Euclidean penalty never
+    computes one.  An overflowed batch raises DegenerateMatrixError.
     """
-    return spd.make_spd(raw_covariance(acts, normalize=normalize), jitter_rel)
+    return SpdMatrix(spd.add_jitter(raw_covariance(acts, normalize=normalize), jitter_rel))
 
 
 def penalty_distance(cs: SpdMatrix, ct: SpdMatrix, kind: str) -> float:
@@ -99,8 +101,8 @@ def penalty_value_and_grads(
 ) -> tuple[float, np.ndarray, np.ndarray]:
     """Weighted penalty value and its gradients w.r.t. both activation sets.
 
-    Builds each covariance (and its eigendecomposition) once and reuses it for
-    the value and the gradient.
+    Builds each covariance once and reuses it, and its eigendecomposition
+    when the penalty is log-Euclidean, for the value and the gradient.
     """
     if penalty.kind == "none" or penalty.lam == 0.0:
         acts_s = np.asarray(acts_s, dtype=np.float64)

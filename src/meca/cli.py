@@ -1,7 +1,8 @@
 """Command-line front door: generate data, train one configuration, run the
 lambda sweep, and run the verification suites.
 
-Exit codes: 0 success, 1 usage, 2 numerical failure, 3 I/O failure.
+Exit codes: 0 success, 1 usage, 2 numerical failure, 3 I/O failure
+(including an input file that is malformed or holds no samples).
 """
 from __future__ import annotations
 
@@ -11,6 +12,8 @@ import json
 import sys
 import time
 from pathlib import Path
+
+import numpy as np
 
 from . import __version__, data, network, selection, trainer, verify
 from .errors import (
@@ -113,6 +116,15 @@ def _write_manifest(out_dir: Path, payload: dict) -> None:
         fh.write("\n")
 
 
+def _build_info() -> dict:
+    """The numpy and LAPACK build that byte-identical reruns hold for."""
+    try:
+        lapack = np.show_config(mode="dicts")["Build Dependencies"]["lapack"]
+    except (TypeError, KeyError):  # numpy < 1.25 has no mode="dicts"
+        lapack = "unknown"
+    return {"numpy": np.__version__, "lapack": lapack}
+
+
 def _load_domain_pair(args):
     source_ds = data.read_csv(args.source)
     if source_ds.labels is None:
@@ -174,6 +186,7 @@ def cmd_train(args, argv: list[str]) -> int:
         {
             "command": "train",
             "argv": argv,
+            "build": _build_info(),
             "config": dataclasses.asdict(config),
             "layer_sizes": sizes,
             "hidden_activation": args.activation,
@@ -223,6 +236,7 @@ def cmd_sweep(args, argv: list[str]) -> int:
         {
             "command": "sweep",
             "argv": argv,
+            "build": _build_info(),
             "config": dataclasses.asdict(config),
             "grid": [r.lam for r in result.records],
             "layer_sizes": sizes,

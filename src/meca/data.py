@@ -13,6 +13,7 @@ from .errors import (
     BadMagicError,
     BadParamsError,
     CountMismatchError,
+    EmptyDatasetError,
     ParseError,
     TruncatedFileError,
 )
@@ -196,7 +197,7 @@ def _read_be_u32(blob: bytes, offset: int, path) -> int:
 def read_idx(images_path, labels_path=None) -> Dataset:
     """Parse MNIST-style IDX files: big-endian magic and dimension sizes, raw
     u8 payload.  Pixels are scaled to [0, 1]; labels are one-hot encoded with
-    K = max label + 1.
+    K = max label + 1.  A file that declares 0 images raises EmptyDatasetError.
     """
     with open(images_path, "rb") as fh:
         blob = fh.read()
@@ -206,6 +207,8 @@ def read_idx(images_path, labels_path=None) -> Dataset:
     count = _read_be_u32(blob, 4, images_path)
     rows = _read_be_u32(blob, 8, images_path)
     cols = _read_be_u32(blob, 12, images_path)
+    if count == 0:
+        raise EmptyDatasetError(f"{images_path}: declares 0 images")
     payload = count * rows * cols
     if len(blob) < 16 + payload:
         raise TruncatedFileError(
@@ -268,6 +271,8 @@ def read_csv(path) -> Dataset:
     if header[:dim] != [f"f{i}" for i in range(dim)]:
         raise ParseError(f"{path}: unexpected feature column names")
     n = len(lines) - 1
+    if n == 0:
+        raise EmptyDatasetError(f"{path}: no data rows")
     inputs = np.empty((dim, n))
     classes = np.empty(n, dtype=np.int64)
     for j, line in enumerate(lines[1:]):

@@ -10,7 +10,7 @@ class NonSymmetricError(MecaError):
 
 
 class NoConvergenceError(MecaError):
-    """Eigensolver hit its sweep cap before converging."""
+    """The LAPACK eigensolver failed to converge."""
 
 
 class DegenerateMatrixError(MecaError):
@@ -55,6 +55,10 @@ class TruncatedFileError(MecaError):
 
 class CountMismatchError(MecaError):
     """IDX image and label counts disagree."""
+
+
+class EmptyDatasetError(MecaError):
+    """Dataset file declares or holds no samples."""
 
 
 class ParseError(MecaError):

@@ -1,14 +1,15 @@
-"""Dense symmetric eigendecomposition and distances between SPD matrices.
+"""Symmetric eigendecomposition and distances between SPD matrices.
 
 Covariances of feature activations are symmetric positive definite, so they
 live on a curved manifold rather than in a flat vector space.  This module
-provides the eigensolver, the matrix logarithm, the Euclidean / log-Euclidean /
-affine-invariant covariance distances, and closed-form gradients of the two
-distances used as training penalties.
+provides the eigendecomposition (LAPACK ``eigh`` with a fixed order and sign
+convention), the matrix logarithm, the Euclidean and log-Euclidean covariance
+distances, and their closed-form gradients, used as training penalties.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -20,8 +21,6 @@ from .errors import (
 )
 
 SYMMETRY_RTOL = 1e-10
-JACOBI_OFFDIAG_RTOL = 1e-12
-JACOBI_MAX_SWEEPS = 100
 JITTER_FLOOR = 1e-12
 DEFAULT_JITTER_REL = 1e-5
 # Eigenvalue pairs closer than this (relatively) use the limit value of the
@@ -31,30 +30,61 @@ LOEWNER_DEGENERACY_RTOL = 1e-12
 
 @dataclass(frozen=True)
 class SpdMatrix:
-    """Symmetric positive definite matrix with its eigendecomposition cached.
+    """Symmetric positive definite matrix; its eigendecomposition (by
+    ``sym_eig``) and its matrix logarithm are computed on first use and cached.
 
     ``eigvals`` are sorted descending and all strictly positive; ``eigvecs``
-    holds the matching eigenvectors as columns and is orthogonal.  Treat
+    holds the matching eigenvectors as columns and is orthogonal.  Reading
+    either raises DegenerateMatrixError when ``mat`` is not positive definite.
+    Callers that need only ``mat`` (the Euclidean distance) never pay for a
+    decomposition.  ``mat`` must be symmetric with finite entries; treat
     instances as immutable.
     """
 
     mat: np.ndarray
-    eigvals: np.ndarray
-    eigvecs: np.ndarray
+
+    @cached_property
+    def _eig(self) -> tuple[np.ndarray, np.ndarray]:
+        vals, vecs = sym_eig(self.mat)
+        if vals[-1] <= 0.0:
+            raise DegenerateMatrixError(
+                f"matrix is not positive definite (min eigenvalue {vals[-1]:.3e})"
+            )
+        return vals, vecs
+
+    @cached_property
+    def _log(self) -> np.ndarray:
+        out = (self.eigvecs * np.log(self.eigvals)) @ self.eigvecs.T
+        out = 0.5 * (out + out.T)
+        out.flags.writeable = False  # shared by every caller of mat_log
+        return out
+
+    @property
+    def eigvals(self) -> np.ndarray:
+        return self._eig[0]
+
+    @property
+    def eigvecs(self) -> np.ndarray:
+        return self._eig[1]
 
     @property
     def dim(self) -> int:
         return self.mat.shape[0]
 
 
-def _check_symmetric(m: np.ndarray) -> np.ndarray:
+def _check_square(m: np.ndarray) -> np.ndarray:
     m = np.asarray(m, dtype=np.float64)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise NonSymmetricError(f"expected a square matrix, got shape {m.shape}")
-    if not np.all(np.isfinite(m)):
+    if m.ndim != 2 or m.shape[0] != m.shape[1] or m.size == 0:
+        raise NonSymmetricError(f"expected a non-empty square matrix, got shape {m.shape}")
+    return m
+
+
+def _check_symmetric(m: np.ndarray) -> np.ndarray:
+    m = _check_square(m)
+    scale = np.max(np.abs(m))  # NaN or inf when any entry is
+    if not np.isfinite(scale):
         raise DegenerateMatrixError("matrix has non-finite entries")
-    scale = np.max(np.abs(m)) if m.size else 0.0
-    asym = np.max(np.abs(m - m.T)) if m.size else 0.0
+    asym = np.max(np.abs(m - m.T))
     if asym > SYMMETRY_RTOL * scale:
         raise NonSymmetricError(
             f"asymmetry {asym:.3e} exceeds tolerance {SYMMETRY_RTOL * scale:.3e}"
@@ -62,123 +92,73 @@ def _check_symmetric(m: np.ndarray) -> np.ndarray:
     return m
 
 
-def _jacobi_rotate(b: np.ndarray, v: np.ndarray, p: int, q: int) -> None:
-    apq = b[p, q]
-    if apq == 0.0:
-        return
-    theta = (b[q, q] - b[p, p]) / (2.0 * apq)
-    t = 1.0 / (abs(theta) + np.sqrt(theta * theta + 1.0))
-    if theta < 0.0:
-        t = -t
-    c = 1.0 / np.sqrt(t * t + 1.0)
-    s = t * c
-
-    row_p, row_q = b[p, :].copy(), b[q, :].copy()
-    b[p, :] = c * row_p - s * row_q
-    b[q, :] = s * row_p + c * row_q
-    col_p, col_q = b[:, p].copy(), b[:, q].copy()
-    b[:, p] = c * col_p - s * col_q
-    b[:, q] = s * col_p + c * col_q
-
-    vec_p, vec_q = v[:, p].copy(), v[:, q].copy()
-    v[:, p] = c * vec_p - s * vec_q
-    v[:, q] = s * vec_p + c * vec_q
-
-
-def _offdiag_converged(b: np.ndarray) -> bool:
-    diag = np.diag(b)
-    off = b - np.diag(diag)
-    return float(np.linalg.norm(off)) <= JACOBI_OFFDIAG_RTOL * float(
-        np.linalg.norm(diag)
-    )
-
-
 def sym_eig(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition of a symmetric matrix by cyclic Jacobi rotations.
+    """Eigendecomposition of a symmetric matrix by LAPACK (``np.linalg.eigh``).
 
-    Returns eigenvalues sorted descending (ties keep original diagonal order)
-    and the matching orthonormal eigenvectors as columns, with each column's
-    sign fixed so its largest-magnitude component is positive.  Deterministic
-    for identical input bits.
+    Returns eigenvalues sorted descending and the matching orthonormal
+    eigenvectors as columns, with each column's sign fixed so its
+    largest-magnitude component is positive.  Deterministic for identical
+    input bits on one numpy/LAPACK build.  Raises NonSymmetricError for a
+    non-square or asymmetric matrix, DegenerateMatrixError for non-finite
+    entries and NoConvergenceError when LAPACK does not converge.
     """
-    b = _check_symmetric(m).copy()
-    b = 0.5 * (b + b.T)
-    n = b.shape[0]
-    v = np.eye(n)
+    m = _check_symmetric(m)
+    try:
+        vals, vecs = np.linalg.eigh(0.5 * (m + m.T))
+    except np.linalg.LinAlgError as exc:
+        raise NoConvergenceError(f"eigh failed for n={m.shape[0]}: {exc}") from None
+    order = np.argsort(-vals, kind="stable")  # ties keep LAPACK's order
+    vals, vecs = vals[order], vecs[:, order]
+    lead = np.argmax(np.abs(vecs), axis=0)
+    signs = np.where(vecs[lead, np.arange(vecs.shape[1])] < 0.0, -1.0, 1.0)
+    return vals, vecs * signs
 
-    converged = _offdiag_converged(b)
-    for _ in range(JACOBI_MAX_SWEEPS):
-        if converged:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                _jacobi_rotate(b, v, p, q)
-        converged = _offdiag_converged(b)
-    if not converged:
-        raise NoConvergenceError(
-            f"Jacobi sweep cap of {JACOBI_MAX_SWEEPS} reached for n={n}"
-        )
 
-    vals = np.diag(b).copy()
-    order = np.argsort(-vals, kind="stable")
-    vals = vals[order]
-    vecs = v[:, order]
-    for j in range(n):
-        lead = np.argmax(np.abs(vecs[:, j]))
-        if vecs[lead, j] < 0.0:
-            vecs[:, j] = -vecs[:, j]
-    return vals, vecs
+def _decomposed(c: SpdMatrix) -> SpdMatrix:
+    """``c`` with its eigendecomposition computed, so that a matrix that is
+    not symmetric positive definite raises now rather than on first use."""
+    c.eigvals
+    return c
 
 
 def spd_from_symmetric(m: np.ndarray) -> SpdMatrix:
     """Wrap a symmetric matrix as SpdMatrix; raises if not positive definite."""
     m = _check_symmetric(m)
-    vals, vecs = sym_eig(m)
-    if vals.size == 0 or vals[-1] <= 0.0:
-        raise DegenerateMatrixError(
-            f"matrix is not positive definite (min eigenvalue {vals[-1] if vals.size else 'n/a'})"
-        )
-    return SpdMatrix(mat=0.5 * (m + m.T), eigvals=vals, eigvecs=vecs)
+    return _decomposed(SpdMatrix(0.5 * (m + m.T)))
+
+
+def add_jitter(m: np.ndarray, jitter_rel: float = DEFAULT_JITTER_REL) -> np.ndarray:
+    """``m + eps * I`` with ``eps = max(jitter_rel * trace(m) / dim, 1e-12)``.
+
+    ``m`` must be square.  Raises DegenerateMatrixError when ``m`` has
+    non-finite entries, as an overflowed batch covariance does.
+    """
+    if not np.all(np.isfinite(m)):
+        raise DegenerateMatrixError("matrix has non-finite entries")
+    dim = m.shape[0]
+    eps = max(jitter_rel * float(np.trace(m)) / dim, JITTER_FLOOR)
+    return m + eps * np.eye(dim)
 
 
 def make_spd(m: np.ndarray, jitter_rel: float = DEFAULT_JITTER_REL) -> SpdMatrix:
-    """Repair a symmetric (near-)PSD matrix into a strict SpdMatrix.
+    """Repair a symmetric (near-)PSD matrix into a strict SpdMatrix, decomposed.
 
-    Adds ``eps * I`` with ``eps = max(jitter_rel * trace(m) / dim, 1e-12)``.
-    Batch covariances with fewer samples than features are rank deficient and
-    the matrix logarithm is undefined at zero eigenvalues; the jitter keeps
-    every eigenvalue strictly positive.
+    Adds ``eps * I`` as ``add_jitter`` does.  Batch covariances with fewer
+    samples than features are rank deficient and the matrix logarithm is
+    undefined at zero eigenvalues; the jitter keeps every eigenvalue strictly
+    positive.
+    Raises DegenerateMatrixError if the result is still not positive definite.
     """
-    m = _check_symmetric(m)
-    dim = m.shape[0]
-    eps = max(jitter_rel * float(np.trace(m)) / dim, JITTER_FLOOR)
-    jittered = m + eps * np.eye(dim)
-    try:
-        return spd_from_symmetric(jittered)
-    except DegenerateMatrixError:
-        raise DegenerateMatrixError(
-            f"matrix not positive definite after jitter eps={eps:.3e}"
-        ) from None
-
-
-def jitter_eps(m: np.ndarray, jitter_rel: float = DEFAULT_JITTER_REL) -> float:
-    """The jitter make_spd would add to ``m`` (needed by chain-rule gradients)."""
-    m = np.asarray(m, dtype=np.float64)
-    return max(jitter_rel * float(np.trace(m)) / m.shape[0], JITTER_FLOOR)
+    return _decomposed(SpdMatrix(add_jitter(_check_square(m), jitter_rel)))
 
 
 def mat_log(c: SpdMatrix) -> np.ndarray:
-    """Matrix logarithm via the cached eigenbasis: U diag(log(vals)) U^T."""
-    log_vals = np.log(c.eigvals)
-    out = (c.eigvecs * log_vals) @ c.eigvecs.T
-    return 0.5 * (out + out.T)
+    """Matrix logarithm via the cached eigenbasis: U diag(log(vals)) U^T.
 
-
-def mat_exp_symmetric(m: np.ndarray) -> np.ndarray:
-    """Matrix exponential of a symmetric matrix (inverse of mat_log)."""
-    vals, vecs = sym_eig(m)
-    out = (vecs * np.exp(vals)) @ vecs.T
-    return 0.5 * (out + out.T)
+    Computed once per matrix and cached, so a penalty's value and gradient
+    share it; the returned array is read-only.
+    """
+    return c._log
 
 
 def _check_same_dim(cs: SpdMatrix, ct: SpdMatrix) -> int:
@@ -203,21 +183,6 @@ def dist_log_euclidean(cs: SpdMatrix, ct: SpdMatrix) -> float:
     d = _check_same_dim(cs, ct)
     diff = mat_log(cs) - mat_log(ct)
     return float(np.sum(diff * diff)) / (4.0 * d * d)
-
-
-def dist_affine(cs: SpdMatrix, ct: SpdMatrix) -> float:
-    """Affine-invariant distance ||log(Ct^-1/2 Cs Ct^-1/2)||_F (unnormalized).
-
-    Equal in value to ||log(Cs Ct^-1)||_F; the congruence form avoids taking
-    the logarithm of a non-symmetric product.  Provided for comparison
-    experiments only, never used in training gradients.
-    """
-    _check_same_dim(cs, ct)
-    inv_sqrt = (ct.eigvecs / np.sqrt(ct.eigvals)) @ ct.eigvecs.T
-    middle = inv_sqrt @ cs.mat @ inv_sqrt
-    vals, _ = sym_eig(0.5 * (middle + middle.T))
-    log_vals = np.log(vals)
-    return float(np.sqrt(np.sum(log_vals * log_vals)))
 
 
 def loewner_log(eigvals: np.ndarray) -> np.ndarray:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from meca import network
+from meca import network, spd, trainer
 from meca.alignment import (
     AlignmentPenalty,
     composite_loss,
@@ -10,7 +10,7 @@ from meca.alignment import (
     penalty_value_and_grads,
     raw_covariance,
 )
-from meca.errors import BadShapeError, TooFewSamplesError
+from meca.errors import BadShapeError, DegenerateMatrixError, TooFewSamplesError
 from meca.spd import dist_log_euclidean
 
 
@@ -119,6 +119,48 @@ class TestPenaltyGradients:
     def test_too_few_samples(self):
         with pytest.raises(TooFewSamplesError):
             grad_covariance_penalty(np.ones((2, 1)), np.ones((2, 4)), AlignmentPenalty())
+
+
+class TestEuclideanPathNeverDecomposes:
+    @pytest.fixture
+    def eig_calls(self, monkeypatch):
+        calls = []
+
+        def counting(m):
+            calls.append(m.shape)
+            return original(m)
+
+        original = spd.sym_eig
+        monkeypatch.setattr(spd, "sym_eig", counting)
+        return calls
+
+    def test_penalty(self, eig_calls):
+        rng = np.random.default_rng(8)
+        a_s, a_t = rng.standard_normal((4, 6)), rng.standard_normal((4, 6))
+        penalty_value_and_grads(a_s, a_t, AlignmentPenalty(kind="euclidean", lam=1.0))
+        assert eig_calls == []
+        # the counter sees the decompositions of the geodesic penalty
+        penalty_value_and_grads(a_s, a_t, AlignmentPenalty(kind="log_euclidean", lam=1.0))
+        assert eig_calls == [(4, 4), (4, 4)]
+
+    def test_coral_epoch(self, eig_calls):
+        rng = np.random.default_rng(9)
+        model = network.init_model([3, 5, 4, 2], seed=0)
+        source = network.LabeledBatch(rng.standard_normal((3, 12)), one_hot(np.arange(12) % 2, 2))
+        target = network.UnlabeledBatch(rng.standard_normal((3, 12)))
+        config = trainer.TrainConfig(method="coral_euclidean", lambda_or_gamma=1.0,
+                                     epochs=1, batch_size=4)
+        result = trainer.train_run(model, source, target, config)
+        assert not result.diverged and len(result.metrics) == 1
+        assert eig_calls == []
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_overflowed_covariance_still_raises(self, eig_calls):
+        a_s = np.array([[1e200, -1e200, 0.0], [0.0, 1.0, 2.0]])
+        a_t = np.ones((2, 3)) + np.eye(2, 3)
+        with pytest.raises(DegenerateMatrixError):
+            penalty_value_and_grads(a_s, a_t, AlignmentPenalty(kind="euclidean", lam=1.0))
+        assert eig_calls == []
 
 
 class TestCompositeLoss:

@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 
 from meca import cli
@@ -60,6 +61,8 @@ class TestTrain:
         assert manifest["command"] == "train"
         assert manifest["config"]["method"] == "meca_geodesic"
         assert manifest["layer_sizes"] == [16, 8, 4, 4]
+        assert manifest["build"]["numpy"] == np.__version__
+        assert manifest["build"]["lapack"]["name"]
 
     def test_train_deterministic_bytes(self, tmp_path):
         src, tgt = gen_pair(tmp_path)
@@ -93,6 +96,14 @@ class TestTrain:
         assert run("train", "--source", str(tmp_path / "no.csv"),
                    "--target", str(tmp_path / "no.csv"),
                    "--out-dir", str(tmp_path / "out"), *TINY_TRAIN) == 3
+
+    def test_empty_target_is_io_error(self, tmp_path, capsys):
+        src, tgt = gen_pair(tmp_path)
+        empty = tmp_path / "empty.csv"
+        empty.write_text(tgt.read_text().splitlines()[0] + "\n")
+        assert run("train", "--source", str(src), "--target", str(empty),
+                   "--out-dir", str(tmp_path / "out"), *TINY_TRAIN) == 3
+        assert "no data rows" in capsys.readouterr().err
 
     def test_unlabeled_source_rejected(self, tmp_path):
         src, tgt = gen_pair(tmp_path)
@@ -133,6 +144,8 @@ class TestSweep:
             assert run("sweep", "--grid", "0.5,2", "--jobs", jobs,
                        "--source", str(src), "--target", str(tgt),
                        "--out-dir", str(tmp_path / name), *TINY_TRAIN) == 0
+        manifest = json.loads((tmp_path / "j1" / "manifest.json").read_text())
+        assert manifest["build"]["numpy"] == np.__version__
         assert ((tmp_path / "j1" / "sweep_summary.csv").read_bytes()
                 == (tmp_path / "j4" / "sweep_summary.csv").read_bytes())
         for lam in ("0.5", "2"):

@@ -21,6 +21,7 @@ from meca.errors import (
     BadMagicError,
     BadParamsError,
     CountMismatchError,
+    EmptyDatasetError,
     ParseError,
     TruncatedFileError,
 )
@@ -160,6 +161,15 @@ class TestIdx:
         with pytest.raises(TruncatedFileError):
             read_idx(tmp_path / "cut.idx")
 
+    def test_zero_count_files(self, tmp_path):
+        # headers alone: 0 images of 28x28 and 0 labels
+        (tmp_path / "img.idx").write_bytes(struct.pack(">IIII", 0x00000803, 0, 28, 28))
+        (tmp_path / "lbl.idx").write_bytes(struct.pack(">II", 0x00000801, 0))
+        with pytest.raises(EmptyDatasetError):
+            read_idx(tmp_path / "img.idx", tmp_path / "lbl.idx")
+        with pytest.raises(EmptyDatasetError):
+            read_idx(tmp_path / "img.idx")
+
     def test_truncated_header(self, tmp_path):
         (tmp_path / "tiny.idx").write_bytes(b"\x00\x00\x08")
         with pytest.raises(TruncatedFileError):
@@ -216,6 +226,12 @@ class TestCsv:
         path = tmp_path / "bad.csv"
         path.write_text("f0,label\nfoo,0\n")
         with pytest.raises(ParseError):
+            read_csv(path)
+
+    def test_header_only(self, tmp_path):
+        path = tmp_path / "empty.csv"
+        path.write_text("f0,f1,label\n")
+        with pytest.raises(EmptyDatasetError):
             read_csv(path)
 
     def test_mixed_labels_rejected(self, tmp_path):

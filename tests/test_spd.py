@@ -2,15 +2,18 @@ import numpy as np
 import pytest
 
 from meca import spd
-from meca.errors import DegenerateMatrixError, DimMismatchError, NonSymmetricError
+from meca.errors import (
+    DegenerateMatrixError,
+    DimMismatchError,
+    NoConvergenceError,
+    NonSymmetricError,
+)
 from meca.spd import (
-    dist_affine,
     dist_euclidean,
     dist_log_euclidean,
     grad_dist_euclidean,
     grad_dist_log_euclidean,
     make_spd,
-    mat_exp_symmetric,
     mat_log,
     spd_from_symmetric,
     sym_eig,
@@ -20,6 +23,21 @@ from meca.spd import (
 def random_spd_mat(rng, dim, lo=0.5, hi=3.0):
     q, _ = np.linalg.qr(rng.standard_normal((dim, dim)))
     return (q * rng.uniform(lo, hi, size=dim)) @ q.T
+
+
+def mat_exp_symmetric(m):
+    """Matrix exponential of a symmetric matrix, the inverse of mat_log."""
+    vals, vecs = np.linalg.eigh(m)
+    return (vecs * np.exp(vals)) @ vecs.T
+
+
+def dist_affine(cs, ct):
+    """Affine-invariant distance ||log(Ct^-1/2 Cs Ct^-1/2)||_F, the reference
+    geometry the log-Euclidean distance approximates."""
+    vals, vecs = np.linalg.eigh(ct.mat)
+    inv_sqrt = (vecs / np.sqrt(vals)) @ vecs.T
+    log_vals = np.log(np.linalg.eigvalsh(inv_sqrt @ cs.mat @ inv_sqrt))
+    return float(np.sqrt(np.sum(log_vals * log_vals)))
 
 
 def fd_grad_wrt_first(fn, cs_mat, ct, h=1e-5):
@@ -107,17 +125,19 @@ class TestSymEig:
             sym_eig(np.array([[1.0, 2.0], [0.0, 1.0]]))
 
     def test_rejects_non_square(self):
-        with pytest.raises(NonSymmetricError):
-            sym_eig(np.zeros((2, 3)))
+        for bad in (np.zeros((2, 3)), np.zeros(3), np.zeros((0, 0))):
+            with pytest.raises(NonSymmetricError):
+                sym_eig(bad)
 
     def test_rejects_non_finite(self):
         with pytest.raises(DegenerateMatrixError):
             sym_eig(np.array([[np.nan, 0.0], [0.0, 1.0]]))
 
-    def test_sweep_cap(self, monkeypatch):
-        from meca.errors import NoConvergenceError
+    def test_lapack_failure_is_no_convergence(self, monkeypatch):
+        def fail(m):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
 
-        monkeypatch.setattr(spd, "JACOBI_MAX_SWEEPS", 0)
+        monkeypatch.setattr(spd.np.linalg, "eigh", fail)
         with pytest.raises(NoConvergenceError):
             sym_eig(np.array([[2.0, 1.0], [1.0, 2.0]]))
 
@@ -158,6 +178,13 @@ class TestMatLog:
     def test_diagonal_closed_form(self):
         c = spd_from_symmetric(np.diag([np.e, np.e**2]))
         assert np.allclose(mat_log(c), np.diag([1.0, 2.0]), atol=1e-12)
+
+    def test_cached_and_read_only(self):
+        c = make_spd(random_spd_mat(np.random.default_rng(6), 3))
+        log = mat_log(c)
+        assert mat_log(c) is log
+        with pytest.raises(ValueError):
+            log[0, 0] = 0.0
 
     def test_eigenbasis_form(self):
         c = spd_from_symmetric(np.array([[2.0, 1.0], [1.0, 2.0]]))
@@ -214,7 +241,7 @@ class TestDistances:
     def test_dim_mismatch(self):
         a = spd_from_symmetric(np.eye(2))
         b = spd_from_symmetric(np.eye(3))
-        for fn in (dist_euclidean, dist_log_euclidean, dist_affine,
+        for fn in (dist_euclidean, dist_log_euclidean,
                    grad_dist_euclidean, grad_dist_log_euclidean):
             with pytest.raises(DimMismatchError):
                 fn(a, b)
