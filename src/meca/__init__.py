@@ -6,7 +6,7 @@ prediction entropy.
 
 __version__ = "0.1.0"
 
-from .alignment import AlignmentPenalty, composite_loss, covariance, grad_covariance_penalty
+from .alignment import AlignmentPenalty, covariance
 from .data import Dataset, ShiftSpec, apply_shift, gen_blobs, read_csv, read_idx, write_csv
 from .network import (
     LabeledBatch,
@@ -49,7 +49,6 @@ __all__ = [
     "UnlabeledBatch",
     "apply_shift",
     "backward",
-    "composite_loss",
     "covariance",
     "cross_entropy",
     "dist_euclidean",
@@ -58,7 +57,6 @@ __all__ = [
     "evaluate",
     "forward",
     "gen_blobs",
-    "grad_covariance_penalty",
     "grad_dist_euclidean",
     "grad_dist_log_euclidean",
     "init_model",

@@ -16,12 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, data, network, selection, trainer, verify
-from .errors import (
-    ConfigInvalidError,
-    InsufficientRecordsError,
-    MecaError,
-    NumericalDivergenceError,
-)
+from .errors import ConfigInvalidError, InsufficientRecordsError, MecaError
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -96,7 +91,6 @@ def build_parser() -> _Parser:
         default=list(selection.DEFAULT_LAMBDA_GRID),
         help="comma-separated lambda values (default: 0.1,0.5,1,2,5,7,10,20)",
     )
-    p_sweep.add_argument("--jobs", type=int, default=1)
 
     p_verify = sub.add_parser("verify", help="run the verification suites")
     p_verify.add_argument(
@@ -123,6 +117,15 @@ def _build_info() -> dict:
     except (TypeError, KeyError):  # numpy < 1.25 has no mode="dicts"
         lapack = "unknown"
     return {"numpy": np.__version__, "lapack": lapack}
+
+
+def _divergence(divergence: trainer.Divergence | None) -> dict | None:
+    return None if divergence is None else dataclasses.asdict(divergence)
+
+
+def _describe(divergence: trainer.Divergence) -> str:
+    where = "metrics" if divergence.step is None else f"step {divergence.step}"
+    return f"epoch {divergence.epoch}, {where}: {divergence.cause}"
 
 
 def _load_domain_pair(args):
@@ -192,12 +195,17 @@ def cmd_train(args, argv: list[str]) -> int:
             "hidden_activation": args.activation,
             "artifacts": {"metrics_csv": str(metrics_path), "model_bin": str(model_path)},
             "diverged": result.diverged,
+            "divergence": _divergence(result.divergence),
             "wall_clock_seconds": time.perf_counter() - start,
             "version": __version__,
         },
     )
     if result.diverged:
-        print(f"training diverged after {len(result.metrics)} epochs", file=sys.stderr)
+        print(
+            f"training diverged after {len(result.metrics)} epochs: "
+            f"{_describe(result.divergence)}",
+            file=sys.stderr,
+        )
         return EXIT_NUMERICAL
     last = result.metrics[-1]
     print(
@@ -227,7 +235,6 @@ def cmd_sweep(args, argv: list[str]) -> int:
         model,
         eval_labels=eval_labels,
         out_dir=out_dir,
-        jobs=args.jobs,
     )
     summary_path = out_dir / "sweep_summary.csv"
     selection.write_sweep_csv(result, summary_path)
@@ -245,6 +252,7 @@ def cmd_sweep(args, argv: list[str]) -> int:
                 "sweep_summary_csv": str(summary_path),
                 "metrics_csvs": [r.metrics_path for r in result.records],
             },
+            "divergence": [_divergence(r.divergence) for r in result.records],
             "selected_lambda": result.selected_lambda,
             "wall_clock_seconds": time.perf_counter() - start,
             "version": __version__,
@@ -257,9 +265,10 @@ def cmd_sweep(args, argv: list[str]) -> int:
     except InsufficientRecordsError:
         print("selection gap: n/a (needs >= 2 successful records)")
     if any(r.failed for r in result.records):
-        failed = [f"{r.lam:g}" for r in result.records if r.failed]
-        print(f"diverged runs excluded from selection: lambda in {{{', '.join(failed)}}}",
-              file=sys.stderr)
+        failed = [
+            f"lambda {r.lam:g} ({_describe(r.divergence)})" for r in result.records if r.failed
+        ]
+        print(f"diverged runs excluded from selection: {'; '.join(failed)}", file=sys.stderr)
         return EXIT_NUMERICAL
     return EXIT_OK
 
@@ -293,7 +302,7 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigInvalidError as exc:
         print(f"meca: invalid configuration: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (NumericalDivergenceError, InsufficientRecordsError) as exc:
+    except InsufficientRecordsError as exc:
         print(f"meca: numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     except (OSError, MecaError) as exc:

@@ -238,7 +238,8 @@ def read_idx(images_path, labels_path=None) -> Dataset:
     return Dataset(inputs, labels, domain_tag="idx")
 
 
-def _fmt(x: float) -> str:
+def format_float(x: float) -> str:
+    """17 significant digits: enough for any float64 to read back exactly."""
     return format(float(x), ".17g")
 
 
@@ -254,7 +255,7 @@ def write_csv(ds: Dataset, path) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join([f"f{i}" for i in range(ds.dim)] + ["label"]) + "\n")
         for j in range(ds.n):
-            row = [_fmt(v) for v in ds.inputs[:, j]]
+            row = [format_float(v) for v in ds.inputs[:, j]]
             row.append(str(int(classes[j])))
             fh.write(",".join(row) + "\n")
 

@@ -2,7 +2,16 @@
 
 
 class MecaError(Exception):
-    """Base class for all package errors."""
+    """Base class for all package errors.
+
+    ``lanes`` is set when the error was raised on a stack of matrices (one per
+    training lane, stacked along axis 0): the indices of the failed lanes.  It
+    is None for an error on a single matrix.
+    """
+
+    def __init__(self, *args, lanes: tuple[int, ...] | None = None):
+        super().__init__(*args)
+        self.lanes = lanes
 
 
 class NonSymmetricError(MecaError):
@@ -35,10 +44,6 @@ class BadParamsError(MecaError):
 
 class ConfigInvalidError(MecaError):
     """Training configuration violates its invariants."""
-
-
-class NumericalDivergenceError(MecaError):
-    """A loss became non-finite during training."""
 
 
 class InsufficientRecordsError(MecaError):

@@ -2,7 +2,9 @@
 
 Activations flow column-wise (features x samples) so the feature layer can be
 handed straight to the covariance operators; prediction probabilities are kept
-row-wise (samples x classes).
+row-wise (samples x classes).  A model may stack the parameters of several
+lanes along a leading axis; every activation, probability and gradient then
+gains that axis, and each lane computes exactly what it computes alone.
 """
 from __future__ import annotations
 
@@ -24,9 +26,10 @@ MODEL_VERSION = 1
 class MlpModel:
     """Layer weights/biases plus the hidden activation choice.
 
-    ``weights[i]`` has shape (layer_sizes[i+1], layer_sizes[i]); biases are
-    1-d.  The model is treated as immutable during forward/backward; the
-    optimizer replaces parameter arrays wholesale.
+    ``weights[i]`` has shape (layer_sizes[i+1], layer_sizes[i]) and biases
+    are 1-d; a lane stack prefixes both with the lane axis.  The model is
+    treated as immutable during forward/backward; the optimizer replaces
+    parameter arrays wholesale.
     """
 
     layer_sizes: list[int]
@@ -51,10 +54,10 @@ class MlpModel:
 class ForwardTrace:
     """Everything backward needs from one forward pass."""
 
-    acts: list[np.ndarray]       # acts[0] = inputs, acts[i] = hidden activation i
+    acts: list[np.ndarray]       # acts[0] = inputs (no lane axis), acts[i] = hidden activation i
     pre_acts: list[np.ndarray]   # pre_acts[i] = W_i acts[i] + b_i
-    probs: np.ndarray            # (n, K) row-stochastic
-    feature_acts: np.ndarray     # (d, n) at the alignment layer
+    probs: np.ndarray            # ([lanes,] n, K) row-stochastic
+    feature_acts: np.ndarray     # ([lanes,] d, n) at the alignment layer
     alignment_layer: int
 
 
@@ -149,9 +152,9 @@ def _activate_grad(z: np.ndarray, kind: str) -> np.ndarray:
 
 
 def _softmax_columns(z: np.ndarray) -> np.ndarray:
-    shifted = z - z.max(axis=0, keepdims=True)
+    shifted = z - z.max(axis=-2, keepdims=True)
     e = np.exp(shifted)
-    return e / e.sum(axis=0, keepdims=True)
+    return e / e.sum(axis=-2, keepdims=True)
 
 
 def forward(
@@ -160,7 +163,8 @@ def forward(
     """Run the network on a batch of columns; capture the alignment layer.
 
     ``alignment_layer_index`` indexes the activation list (0 = inputs,
-    i = hidden layer i); defaults to the penultimate (feature) layer.
+    i = hidden layer i); defaults to the penultimate (feature) layer.  The
+    inputs are (d, n), shared by every lane of a stacked model.
     """
     inputs = np.asarray(inputs, dtype=np.float64)
     if inputs.ndim != 2 or inputs.shape[0] != model.layer_sizes[0]:
@@ -179,54 +183,57 @@ def forward(
     pre_acts = []
     a = inputs
     for i in range(n_layers):
-        z = model.weights[i] @ a + model.biases[i][:, None]
+        z = model.weights[i] @ a + model.biases[i][..., None]
         pre_acts.append(z)
         if i < n_layers - 1:
             a = _activate(z, model.hidden_activation)
             acts.append(a)
-    probs = _softmax_columns(pre_acts[-1]).T
+    probs = _softmax_columns(pre_acts[-1]).swapaxes(-1, -2)
+    feature_acts = acts[alignment_layer_index]
+    if alignment_layer_index == 0:  # the shared inputs, seen by every lane
+        feature_acts = np.broadcast_to(inputs, probs.shape[:-2] + inputs.shape)
     return ForwardTrace(
         acts=acts,
         pre_acts=pre_acts,
         probs=probs,
-        feature_acts=acts[alignment_layer_index],
+        feature_acts=feature_acts,
         alignment_layer=alignment_layer_index,
     )
 
 
-def _check_probs(probs: np.ndarray) -> np.ndarray:
+def _check_probs(probs: np.ndarray, labels: np.ndarray | None = None) -> np.ndarray:
     probs = np.asarray(probs, dtype=np.float64)
-    if probs.ndim != 2:
-        raise BadShapeError("probs must be 2-d (samples x classes)")
+    if probs.ndim not in (2, 3):
+        raise BadShapeError("probs must be (samples x classes), optionally per lane")
+    if labels is not None and labels.shape != probs.shape[-2:]:
+        raise BadShapeError(f"labels shape {labels.shape} != probs shape {probs.shape}")
     return probs
 
 
-def cross_entropy(probs: np.ndarray, labels: np.ndarray) -> float:
-    """Summed cross-entropy -sum_i log p[i, class(i)], clamped before the log."""
-    probs = _check_probs(probs)
+def cross_entropy(probs: np.ndarray, labels: np.ndarray) -> float | np.ndarray:
+    """Summed cross-entropy -sum_i log p[i, class(i)], clamped before the log;
+    one value per lane for stacked probabilities."""
     labels = np.asarray(labels, dtype=np.float64)
-    if labels.shape != probs.shape:
-        raise BadShapeError(f"labels shape {labels.shape} != probs shape {probs.shape}")
-    picked = np.sum(probs * labels, axis=1)
-    return float(-np.sum(np.log(np.clip(picked, PROB_CLAMP, 1.0 - PROB_CLAMP))))
+    probs = _check_probs(probs, labels)
+    picked = (probs * labels).sum(axis=-1)
+    return -np.log(np.clip(picked, PROB_CLAMP, 1.0 - PROB_CLAMP)).sum(axis=-1)
 
 
-def entropy(probs: np.ndarray) -> float:
+def entropy(probs: np.ndarray) -> float | np.ndarray:
     """Summed Shannon entropy of the prediction rows, with 0 log 0 := 0.
 
     Exactly zero on one-hot rows: zero entries contribute 0 times a finite
-    log, and log(1) is 0.
+    log, and log(1) is 0.  One value per lane for stacked probabilities.
     """
     probs = _check_probs(probs)
-    return float(-np.sum(probs * np.log(np.maximum(probs, PROB_CLAMP))) + 0.0)
+    terms = probs * np.log(np.maximum(probs, PROB_CLAMP))
+    return -terms.sum(axis=(-2, -1)) + 0.0
 
 
 def grad_cross_entropy_wrt_probs(probs: np.ndarray, labels: np.ndarray) -> np.ndarray:
     """Entrywise -label/p, to be paired with the softmax Jacobian in backward."""
-    probs = _check_probs(probs)
     labels = np.asarray(labels, dtype=np.float64)
-    if labels.shape != probs.shape:
-        raise BadShapeError(f"labels shape {labels.shape} != probs shape {probs.shape}")
+    probs = _check_probs(probs, labels)
     return -labels / np.clip(probs, PROB_CLAMP, 1.0 - PROB_CLAMP)
 
 
@@ -251,24 +258,11 @@ def backward(
 ) -> ParamGrads:
     """Backpropagate gradients injected at the probabilities and/or the
     alignment-layer activations; contributions accumulate additively through
-    shared layers.  Either injection may be None (treated as zero).
+    shared layers.  Either injection may be None (treated as zero); with no
+    gradient at the probabilities, backpropagation starts at the alignment
+    layer and the layers above it get zero gradients.
     """
-    n_layers = model.n_layers
-    n = trace.acts[0].shape[1]
-    n_classes = model.layer_sizes[-1]
-
-    if loss_grads_at_probs is None:
-        delta = np.zeros((n_classes, n))
-    else:
-        g = np.asarray(loss_grads_at_probs, dtype=np.float64)
-        if g.shape != trace.probs.shape:
-            raise BadShapeError(
-                f"probs-gradient shape {g.shape} != probs shape {trace.probs.shape}"
-            )
-        p = trace.probs
-        # softmax Jacobian, row-wise: dz_k = p_k (g_k - sum_j p_j g_j)
-        delta = (p * (g - np.sum(p * g, axis=1, keepdims=True))).T
-
+    a = trace.alignment_layer
     g_feat = None
     if loss_grads_at_feature_acts is not None:
         g_feat = np.asarray(loss_grads_at_feature_acts, dtype=np.float64)
@@ -278,17 +272,36 @@ def backward(
                 f"feature shape {trace.feature_acts.shape}"
             )
 
-    grads = zero_grads(model)
-    for i in range(n_layers - 1, -1, -1):
-        grads.weights[i][:] = delta @ trace.acts[i].T
-        grads.biases[i][:] = delta.sum(axis=1)
+    if loss_grads_at_probs is not None:
+        g = np.asarray(loss_grads_at_probs, dtype=np.float64)
+        if g.shape != trace.probs.shape:
+            raise BadShapeError(
+                f"probs-gradient shape {g.shape} != probs shape {trace.probs.shape}"
+            )
+        p = trace.probs
+        # softmax Jacobian, row-wise: dz_k = p_k (g_k - sum_j p_j g_j)
+        delta = (p * (g - (p * g).sum(axis=-1, keepdims=True))).swapaxes(-1, -2)
+        top = model.n_layers - 1
+    elif g_feat is not None and a > 0:
+        delta = g_feat * _activate_grad(trace.pre_acts[a - 1], model.hidden_activation)
+        top = a - 1
+    else:
+        top = -1  # nothing to backpropagate
+
+    weights, biases = [], []  # from layer `top` down to layer 0
+    for i in range(top, -1, -1):
+        weights.append(delta @ trace.acts[i].swapaxes(-1, -2))
+        biases.append(delta.sum(axis=-1))
         if i == 0:
             break
-        g_act = model.weights[i].T @ delta
-        if g_feat is not None and trace.alignment_layer == i:
+        g_act = model.weights[i].swapaxes(-1, -2) @ delta
+        if g_feat is not None and a == i:
             g_act = g_act + g_feat
         delta = g_act * _activate_grad(trace.pre_acts[i - 1], model.hidden_activation)
-    return grads
+    return ParamGrads(
+        weights=weights[::-1] + [np.zeros_like(w) for w in model.weights[top + 1 :]],
+        biases=biases[::-1] + [np.zeros_like(b) for b in model.biases[top + 1 :]],
+    )
 
 
 def save_model(model: MlpModel, path) -> None:

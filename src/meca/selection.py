@@ -6,15 +6,15 @@ Selection never sees target labels; accuracy is recorded for reporting only.
 """
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
+from .data import format_float
 from .errors import ConfigInvalidError, InsufficientRecordsError
 from .network import LabeledBatch, MlpModel, UnlabeledBatch
-from .trainer import EpochMetrics, TrainConfig, train_run, write_metrics_csv
+from .trainer import Divergence, EpochMetrics, TrainConfig, train_lanes, write_metrics_csv
 
 DEFAULT_LAMBDA_GRID = (0.1, 0.5, 1.0, 2.0, 5.0, 7.0, 10.0, 20.0)
 SELECTION_RULE = "argmin final target entropy"
@@ -30,6 +30,7 @@ class SweepRecord:
     final_target_acc: float
     metrics_path: str | None = None
     failed: bool = False
+    divergence: Divergence | None = None
 
 
 @dataclass
@@ -72,27 +73,19 @@ def sweep(
     model: MlpModel,
     eval_labels: np.ndarray | None = None,
     out_dir=None,
-    jobs: int = 1,
 ) -> SweepResult:
-    """One train_run per lambda, all from the same initial model, seed, and
-    data order, so curves differ only through lambda.  Runs may execute
-    concurrently; the outcome is independent of scheduling.  A diverged run is
-    flagged and excluded from selection.
+    """Train at every lambda of the grid, all from the same initial model,
+    seed, and data order, so curves differ only through lambda.  The grid
+    trains as one lockstep run (``train_lanes``, one lane per lambda), and
+    each lane's outcome is byte-identical to ``train_run`` at its lambda.  A
+    diverged run is flagged and excluded from selection.
     """
     grid = _check_grid(lambda_grid)
     base_config.validate()
     if out_dir is not None:
         Path(out_dir).mkdir(parents=True, exist_ok=True)
 
-    def run_one(lam: float):
-        cfg = replace(base_config, lambda_or_gamma=lam)
-        return train_run(model, source, target, cfg, eval_labels)
-
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(run_one, grid))
-    else:
-        results = [run_one(lam) for lam in grid]
+    results = train_lanes(model, source, target, base_config, grid, eval_labels)
 
     records: list[SweepRecord] = []
     for lam, result in zip(grid, results):
@@ -111,6 +104,7 @@ def sweep(
                 final_target_acc=final_acc,
                 metrics_path=path,
                 failed=result.diverged,
+                divergence=result.divergence,
             )
         )
 
@@ -137,10 +131,6 @@ def selection_gap(result: SweepResult) -> float:
     return best_acc - result.selected_record().final_target_acc
 
 
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
-
-
 def write_sweep_csv(result: SweepResult, path) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(SWEEP_HEADER + "\n")
@@ -148,7 +138,8 @@ def write_sweep_csv(result: SweepResult, path) -> None:
             selected = int(r.lam == result.selected_lambda)
             fh.write(
                 ",".join(
-                    [_fmt(r.lam), _fmt(r.final_e_target), _fmt(r.final_target_acc), str(selected)]
+                    [format_float(v) for v in (r.lam, r.final_e_target, r.final_target_acc)]
+                    + [str(selected)]
                 )
                 + "\n"
             )

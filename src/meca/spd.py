@@ -30,15 +30,16 @@ LOEWNER_DEGENERACY_RTOL = 1e-12
 
 @dataclass(frozen=True)
 class SpdMatrix:
-    """Symmetric positive definite matrix; its eigendecomposition (by
-    ``sym_eig``) and its matrix logarithm are computed on first use and cached.
+    """Symmetric positive definite matrix, or a stack of them along axis 0
+    (one per training lane); its eigendecomposition (by ``sym_eig``) and its
+    matrix logarithm are computed on first use and cached.
 
     ``eigvals`` are sorted descending and all strictly positive; ``eigvecs``
     holds the matching eigenvectors as columns and is orthogonal.  Reading
-    either raises DegenerateMatrixError when ``mat`` is not positive definite.
-    Callers that need only ``mat`` (the Euclidean distance) never pay for a
-    decomposition.  ``mat`` must be symmetric with finite entries; treat
-    instances as immutable.
+    either raises DegenerateMatrixError, naming the failed lanes of a stack,
+    when ``mat`` is not positive definite.  Callers that need only ``mat``
+    (the Euclidean distance) never pay for a decomposition.  ``mat`` must be
+    symmetric with finite entries; treat instances as immutable.
     """
 
     mat: np.ndarray
@@ -46,16 +47,20 @@ class SpdMatrix:
     @cached_property
     def _eig(self) -> tuple[np.ndarray, np.ndarray]:
         vals, vecs = sym_eig(self.mat)
-        if vals[-1] <= 0.0:
+        bad = vals[..., -1] <= 0.0
+        if bad.any():
             raise DegenerateMatrixError(
-                f"matrix is not positive definite (min eigenvalue {vals[-1]:.3e})"
+                "matrix is not positive definite "
+                f"(min eigenvalue {np.min(vals[..., -1]):.3e})",
+                lanes=_lanes(bad),
             )
         return vals, vecs
 
     @cached_property
     def _log(self) -> np.ndarray:
-        out = (self.eigvecs * np.log(self.eigvals)) @ self.eigvecs.T
-        out = 0.5 * (out + out.T)
+        vecs = self.eigvecs
+        out = (vecs * np.log(self.eigvals)[..., None, :]) @ vecs.swapaxes(-1, -2)
+        out = 0.5 * (out + out.swapaxes(-1, -2))
         out.flags.writeable = False  # shared by every caller of mat_log
         return out
 
@@ -69,49 +74,81 @@ class SpdMatrix:
 
     @property
     def dim(self) -> int:
-        return self.mat.shape[0]
+        return self.mat.shape[-1]
+
+
+def _lanes(bad: np.ndarray) -> tuple[int, ...] | None:
+    """The failed lanes of a per-matrix mask; None for a single matrix."""
+    return None if bad.ndim == 0 else tuple(int(i) for i in np.flatnonzero(bad))
 
 
 def _check_square(m: np.ndarray) -> np.ndarray:
     m = np.asarray(m, dtype=np.float64)
-    if m.ndim != 2 or m.shape[0] != m.shape[1] or m.size == 0:
-        raise NonSymmetricError(f"expected a non-empty square matrix, got shape {m.shape}")
+    if m.ndim not in (2, 3) or m.shape[-1] != m.shape[-2] or m.size == 0:
+        raise NonSymmetricError(
+            f"expected a non-empty square matrix or a stack of them, got shape {m.shape}"
+        )
     return m
 
 
 def _check_symmetric(m: np.ndarray) -> np.ndarray:
     m = _check_square(m)
-    scale = np.max(np.abs(m))  # NaN or inf when any entry is
-    if not np.isfinite(scale):
-        raise DegenerateMatrixError("matrix has non-finite entries")
-    asym = np.max(np.abs(m - m.T))
-    if asym > SYMMETRY_RTOL * scale:
+    scale = np.abs(m).max(axis=(-2, -1))  # NaN or inf when any entry is
+    bad = ~np.isfinite(scale)
+    if bad.any():
+        raise DegenerateMatrixError("matrix has non-finite entries", lanes=_lanes(bad))
+    asym = np.abs(m - m.swapaxes(-1, -2)).max(axis=(-2, -1))
+    bad = asym > SYMMETRY_RTOL * scale
+    if bad.any():
         raise NonSymmetricError(
-            f"asymmetry {asym:.3e} exceeds tolerance {SYMMETRY_RTOL * scale:.3e}"
+            f"asymmetry {asym[bad][0]:.3e} exceeds tolerance "
+            f"{SYMMETRY_RTOL * scale[bad][0]:.3e}",
+            lanes=_lanes(bad),
         )
     return m
 
 
+def _unsolvable(stack: np.ndarray) -> tuple[int, ...]:
+    """Lanes of a stack on which LAPACK fails, found by solving each alone."""
+    failed = []
+    for lane, m in enumerate(stack):
+        try:
+            np.linalg.eigh(m)
+        except np.linalg.LinAlgError:
+            failed.append(lane)
+    return tuple(failed) or tuple(range(len(stack)))  # none fails alone: name all
+
+
 def sym_eig(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition of a symmetric matrix by LAPACK (``np.linalg.eigh``).
+    """Eigendecomposition of a symmetric matrix, or of each matrix of a
+    stack, by LAPACK (``np.linalg.eigh``).
 
     Returns eigenvalues sorted descending and the matching orthonormal
     eigenvectors as columns, with each column's sign fixed so its
-    largest-magnitude component is positive.  Deterministic for identical
-    input bits on one numpy/LAPACK build.  Raises NonSymmetricError for a
-    non-square or asymmetric matrix, DegenerateMatrixError for non-finite
-    entries and NoConvergenceError when LAPACK does not converge.
+    largest-magnitude component is positive.  Each matrix of a stack gets the
+    bits it gets alone; deterministic for identical input bits on one
+    numpy/LAPACK build.  Raises NonSymmetricError for a non-square or
+    asymmetric matrix, DegenerateMatrixError for non-finite entries and
+    NoConvergenceError when LAPACK does not converge; on a stack each error
+    names the failed lanes.
     """
     m = _check_symmetric(m)
+    stack = m.reshape((-1,) + m.shape[-2:])  # a single matrix is a stack of one
+    sym = 0.5 * (stack + stack.swapaxes(-1, -2))
     try:
-        vals, vecs = np.linalg.eigh(0.5 * (m + m.T))
+        vals, vecs = np.linalg.eigh(sym)
     except np.linalg.LinAlgError as exc:
-        raise NoConvergenceError(f"eigh failed for n={m.shape[0]}: {exc}") from None
-    order = np.argsort(-vals, kind="stable")  # ties keep LAPACK's order
-    vals, vecs = vals[order], vecs[:, order]
-    lead = np.argmax(np.abs(vecs), axis=0)
-    signs = np.where(vecs[lead, np.arange(vecs.shape[1])] < 0.0, -1.0, 1.0)
-    return vals, vecs * signs
+        raise NoConvergenceError(
+            f"eigh failed for n={m.shape[-1]}: {exc}",
+            lanes=None if m.ndim == 2 else _unsolvable(sym),
+        ) from None
+    lane = np.arange(len(stack))[:, None]
+    order = np.argsort(-vals, axis=-1, kind="stable")  # ties keep LAPACK's order
+    rows = vecs.swapaxes(-1, -2)[lane, order]  # eigenvectors as rows, descending
+    lead = np.argmax(np.abs(rows), axis=-1)
+    signs = np.where(rows[lane, np.arange(rows.shape[-1]), lead] < 0.0, -1.0, 1.0)
+    vecs = (rows * signs[..., None]).swapaxes(-1, -2)
+    return vals[lane, order].reshape(m.shape[:-1]), vecs.reshape(m.shape)
 
 
 def _decomposed(c: SpdMatrix) -> SpdMatrix:
@@ -124,20 +161,23 @@ def _decomposed(c: SpdMatrix) -> SpdMatrix:
 def spd_from_symmetric(m: np.ndarray) -> SpdMatrix:
     """Wrap a symmetric matrix as SpdMatrix; raises if not positive definite."""
     m = _check_symmetric(m)
-    return _decomposed(SpdMatrix(0.5 * (m + m.T)))
+    return _decomposed(SpdMatrix(0.5 * (m + m.swapaxes(-1, -2))))
 
 
 def add_jitter(m: np.ndarray, jitter_rel: float = DEFAULT_JITTER_REL) -> np.ndarray:
-    """``m + eps * I`` with ``eps = max(jitter_rel * trace(m) / dim, 1e-12)``.
+    """``m + eps * I`` with ``eps = max(jitter_rel * trace(m) / dim, 1e-12)``,
+    per matrix of a stack.
 
     ``m`` must be square.  Raises DegenerateMatrixError when ``m`` has
     non-finite entries, as an overflowed batch covariance does.
     """
-    if not np.all(np.isfinite(m)):
-        raise DegenerateMatrixError("matrix has non-finite entries")
-    dim = m.shape[0]
-    eps = max(jitter_rel * float(np.trace(m)) / dim, JITTER_FLOOR)
-    return m + eps * np.eye(dim)
+    finite = np.isfinite(m)
+    if not finite.all():
+        bad = ~finite.all(axis=(-2, -1))
+        raise DegenerateMatrixError("matrix has non-finite entries", lanes=_lanes(bad))
+    dim = m.shape[-1]
+    eps = np.maximum(jitter_rel * m.trace(axis1=-2, axis2=-1) / dim, JITTER_FLOOR)
+    return m + eps[..., None, None] * np.eye(dim)
 
 
 def make_spd(m: np.ndarray, jitter_rel: float = DEFAULT_JITTER_REL) -> SpdMatrix:
@@ -167,38 +207,45 @@ def _check_same_dim(cs: SpdMatrix, ct: SpdMatrix) -> int:
     return cs.dim
 
 
-def dist_euclidean(cs: SpdMatrix, ct: SpdMatrix) -> float:
-    """Squared Frobenius distance, normalized: ||Cs - Ct||_F^2 / (4 d^2)."""
+def _squared_norm(diff: np.ndarray) -> float | np.ndarray:
+    """Squared Frobenius norm of a matrix, or of each matrix of a stack."""
+    return (diff * diff).sum(axis=(-2, -1))
+
+
+def dist_euclidean(cs: SpdMatrix, ct: SpdMatrix) -> float | np.ndarray:
+    """Squared Frobenius distance, normalized: ||Cs - Ct||_F^2 / (4 d^2).
+
+    A float for two matrices; one distance per lane for stacks.
+    """
     d = _check_same_dim(cs, ct)
-    diff = cs.mat - ct.mat
-    return float(np.sum(diff * diff)) / (4.0 * d * d)
+    return _squared_norm(cs.mat - ct.mat) / (4.0 * d * d)
 
 
-def dist_log_euclidean(cs: SpdMatrix, ct: SpdMatrix) -> float:
+def dist_log_euclidean(cs: SpdMatrix, ct: SpdMatrix) -> float | np.ndarray:
     """Squared log-Euclidean distance: ||log Cs - log Ct||_F^2 / (4 d^2).
 
     A geodesic-inspired distance on the SPD manifold; the normalization makes
-    the value independent of the feature-layer width.
+    the value independent of the feature-layer width.  A float for two
+    matrices; one distance per lane for stacks.
     """
     d = _check_same_dim(cs, ct)
-    diff = mat_log(cs) - mat_log(ct)
-    return float(np.sum(diff * diff)) / (4.0 * d * d)
+    return _squared_norm(mat_log(cs) - mat_log(ct)) / (4.0 * d * d)
 
 
 def loewner_log(eigvals: np.ndarray) -> np.ndarray:
-    """Divided differences of log at eigenvalue pairs.
+    """Divided differences of log at eigenvalue pairs, per row of a stack.
 
     L[i, j] = (log a_i - log a_j) / (a_i - a_j), with the limit 1/a_i on the
     diagonal and for near-degenerate pairs.
     """
     a = np.asarray(eigvals, dtype=np.float64)
-    diff = a[:, None] - a[None, :]
-    degenerate = np.abs(diff) < LOEWNER_DEGENERACY_RTOL * np.maximum(
-        a[:, None], a[None, :]
-    )
+    col, row = a[..., :, None], a[..., None, :]
+    diff = col - row
+    degenerate = np.abs(diff) < LOEWNER_DEGENERACY_RTOL * np.maximum(col, row)
     safe = np.where(degenerate, 1.0, diff)
-    log_diff = np.log(a)[:, None] - np.log(a)[None, :]
-    return np.where(degenerate, 1.0 / a[:, None], log_diff / safe)
+    log_a = np.log(a)
+    log_diff = log_a[..., :, None] - log_a[..., None, :]
+    return np.where(degenerate, 1.0 / col, log_diff / safe)
 
 
 def _log_frechet_adjoint(c: SpdMatrix, sym_grad: np.ndarray) -> np.ndarray:
@@ -209,9 +256,10 @@ def _log_frechet_adjoint(c: SpdMatrix, sym_grad: np.ndarray) -> np.ndarray:
     it is self-adjoint on symmetric matrices.
     """
     lo = loewner_log(c.eigvals)
-    inner = c.eigvecs.T @ sym_grad @ c.eigvecs
-    out = c.eigvecs @ (lo * inner) @ c.eigvecs.T
-    return 0.5 * (out + out.T)
+    vecs = c.eigvecs
+    inner = vecs.swapaxes(-1, -2) @ sym_grad @ vecs
+    out = vecs @ (lo * inner) @ vecs.swapaxes(-1, -2)
+    return 0.5 * (out + out.swapaxes(-1, -2))
 
 
 def grad_dist_log_euclidean(

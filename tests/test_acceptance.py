@@ -190,17 +190,21 @@ def test_criterion_8_determinism(tmp_path):
         == (tmp_path / "t2" / "model.bin").read_bytes()
     )
 
-    for jobs, name in (("1", "s1"), ("3", "s3")):
-        assert cli.main(["sweep", "--grid", "0.5,2,5", "--jobs", jobs,
-                         "--out-dir", str(tmp_path / name), *tiny]) == 0
-    sweep_files = ["sweep_summary.csv"] + [
-        f"metrics_lambda_{v}.csv" for v in ("0.5", "2", "5")
-    ]
-    sweep_ok = all(
-        (tmp_path / "s1" / f).read_bytes() == (tmp_path / "s3" / f).read_bytes()
-        for f in sweep_files
+    # the sweep trains its grid in lockstep; each lane must hold the bytes of
+    # a standalone train at its lambda
+    assert cli.main(["sweep", "--grid", "0.5,2,5", "--out-dir", str(tmp_path / "s"), *tiny]) == 0
+    sweep_ok = True
+    for v in ("0.5", "2", "5"):
+        assert cli.main(["train", "--method", "meca", "--lambda", v,
+                         "--out-dir", str(tmp_path / f"alone_{v}"), *tiny]) == 0
+        sweep_ok &= (
+            (tmp_path / "s" / f"metrics_lambda_{v}.csv").read_bytes()
+            == (tmp_path / f"alone_{v}" / "metrics.csv").read_bytes()
+        )
+    detail = (
+        f"train bytes identical: {train_ok}; "
+        f"sweep lanes identical to standalone trains: {sweep_ok}"
     )
-    detail = f"train bytes identical: {train_ok}; sweep identical across --jobs: {sweep_ok}"
     report(8, "byte-identical reruns", train_ok and sweep_ok, detail, t0)
 
 

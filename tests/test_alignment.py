@@ -4,9 +4,7 @@ import pytest
 from meca import network, spd, trainer
 from meca.alignment import (
     AlignmentPenalty,
-    composite_loss,
     covariance,
-    grad_covariance_penalty,
     penalty_value_and_grads,
     raw_covariance,
 )
@@ -18,6 +16,13 @@ def one_hot(classes, k):
     z = np.zeros((len(classes), k))
     z[np.arange(len(classes)), classes] = 1.0
     return z
+
+
+def composite(trace_s, labels_s, trace_t, penalty):
+    """(total, h_source, pen_value) of the composite objective."""
+    h = network.cross_entropy(trace_s.probs, labels_s)
+    pen, _, _ = penalty_value_and_grads(trace_s.feature_acts, trace_t.feature_acts, penalty)
+    return h + pen, h, pen
 
 
 class TestCovariance:
@@ -64,7 +69,7 @@ class TestPenaltyGradients:
     def test_kind_none_zero(self):
         rng = np.random.default_rng(3)
         a_s, a_t = rng.standard_normal((3, 5)), rng.standard_normal((3, 6))
-        gs, gt = grad_covariance_penalty(a_s, a_t, AlignmentPenalty(kind="none", lam=0.0))
+        _, gs, gt = penalty_value_and_grads(a_s, a_t, AlignmentPenalty(kind="none", lam=0.0))
         assert np.all(gs == 0.0) and gs.shape == (3, 5)
         assert np.all(gt == 0.0) and gt.shape == (3, 6)
 
@@ -72,7 +77,7 @@ class TestPenaltyGradients:
     def test_identical_batches_zero_gradient(self, kind):
         rng = np.random.default_rng(4)
         a = rng.standard_normal((3, 5))
-        gs, gt = grad_covariance_penalty(a, a.copy(), AlignmentPenalty(kind=kind, lam=1.0))
+        _, gs, gt = penalty_value_and_grads(a, a.copy(), AlignmentPenalty(kind=kind, lam=1.0))
         assert np.max(np.abs(gs)) < 1e-8
         assert np.max(np.abs(gt)) < 1e-8
 
@@ -112,13 +117,13 @@ class TestPenaltyGradients:
     def test_lambda_scales_gradients(self):
         rng = np.random.default_rng(6)
         a_s, a_t = rng.standard_normal((3, 5)), rng.standard_normal((3, 5))
-        g1, _ = grad_covariance_penalty(a_s, a_t, AlignmentPenalty(lam=1.0))
-        g2, _ = grad_covariance_penalty(a_s, a_t, AlignmentPenalty(lam=2.5))
+        _, g1, _ = penalty_value_and_grads(a_s, a_t, AlignmentPenalty(lam=1.0))
+        _, g2, _ = penalty_value_and_grads(a_s, a_t, AlignmentPenalty(lam=2.5))
         assert np.allclose(g2, 2.5 * g1)
 
     def test_too_few_samples(self):
         with pytest.raises(TooFewSamplesError):
-            grad_covariance_penalty(np.ones((2, 1)), np.ones((2, 4)), AlignmentPenalty())
+            penalty_value_and_grads(np.ones((2, 1)), np.ones((2, 4)), AlignmentPenalty())
 
 
 class TestEuclideanPathNeverDecomposes:
@@ -173,20 +178,20 @@ class TestCompositeLoss:
 
     def test_lambda_zero(self):
         tr_s, labels, tr_t = self._traces()
-        total, h, pen = composite_loss(tr_s, labels, tr_t, AlignmentPenalty(lam=0.0))
+        total, h, pen = composite(tr_s, labels, tr_t, AlignmentPenalty(lam=0.0))
         assert pen == 0.0
         assert total == h
 
     def test_identical_activations(self):
         tr_s, labels, _ = self._traces()
-        total, h, pen = composite_loss(tr_s, labels, tr_s, AlignmentPenalty(lam=0.5))
+        total, h, pen = composite(tr_s, labels, tr_s, AlignmentPenalty(lam=0.5))
         assert pen == pytest.approx(0.0, abs=1e-12)
         assert total == pytest.approx(h, abs=1e-12)
 
     def test_components_sum_to_total(self):
         tr_s, labels, tr_t = self._traces(seed=1)
         penalty = AlignmentPenalty(kind="log_euclidean", lam=0.1)
-        total, h, pen = composite_loss(tr_s, labels, tr_t, penalty)
+        total, h, pen = composite(tr_s, labels, tr_t, penalty)
         assert total == pytest.approx(h + pen, rel=1e-15)
         assert h == pytest.approx(network.cross_entropy(tr_s.probs, labels))
         cs = covariance(tr_s.feature_acts, penalty.jitter_rel)
@@ -200,7 +205,7 @@ class TestCompositeLoss:
         tr_t = network.forward(model, rng.standard_normal((3, 6)), 2)
         labels = one_hot([0] * 6, 3)
         with pytest.raises(BadShapeError):
-            composite_loss(tr_s, labels, tr_t, AlignmentPenalty())
+            composite(tr_s, labels, tr_t, AlignmentPenalty())
 
 
 class TestPenaltyConfig:

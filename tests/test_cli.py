@@ -115,7 +115,7 @@ class TestTrain:
                    "--out-dir", str(tmp_path / "out"), *TINY_TRAIN) == 1
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-    def test_divergence_exit_code(self, tmp_path):
+    def test_divergence_exit_code(self, tmp_path, capsys):
         src, tgt = gen_pair(tmp_path)
         code = run("train", "--method", "coral", "--lambda", "1e6", "--lr", "0.05",
                    "--epochs", "10", "--batch-size", "8", "--hidden", "8,4",
@@ -124,6 +124,8 @@ class TestTrain:
         assert code == 2
         manifest = json.loads((tmp_path / "div" / "manifest.json").read_text())
         assert manifest["diverged"] is True
+        assert manifest["divergence"] == {"epoch": 1, "step": 3, "cause": "non-finite loss"}
+        assert "epoch 1, step 3: non-finite loss" in capsys.readouterr().err
 
 
 class TestSweep:
@@ -138,19 +140,33 @@ class TestSweep:
         assert len(lines) == 2
         assert lines[1].endswith(",1")
 
-    def test_jobs_invariance(self, tmp_path):
+    def test_jobs_is_usage_error(self, tmp_path):
+        # the grid trains as one lockstep run; there are no workers to set
         src, tgt = gen_pair(tmp_path)
-        for jobs, name in (("1", "j1"), ("4", "j4")):
-            assert run("sweep", "--grid", "0.5,2", "--jobs", jobs,
-                       "--source", str(src), "--target", str(tgt),
-                       "--out-dir", str(tmp_path / name), *TINY_TRAIN) == 0
-        manifest = json.loads((tmp_path / "j1" / "manifest.json").read_text())
+        assert run("sweep", "--grid", "0.5,2", "--jobs", "2",
+                   "--source", str(src), "--target", str(tgt),
+                   "--out-dir", str(tmp_path / "jobs"), *TINY_TRAIN) == 1
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_divergence_recorded_per_lambda(self, tmp_path, capsys):
+        src, tgt = gen_pair(tmp_path)
+        out = tmp_path / "div"
+        code = run("sweep", "--method", "coral", "--grid", "0.01,1,1e6", "--lr", "0.05",
+                   "--epochs", "10", "--batch-size", "8", "--hidden", "8,4",
+                   "--source", str(src), "--target", str(tgt), "--out-dir", str(out))
+        assert code == 2
+        manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["build"]["numpy"] == np.__version__
-        assert ((tmp_path / "j1" / "sweep_summary.csv").read_bytes()
-                == (tmp_path / "j4" / "sweep_summary.csv").read_bytes())
-        for lam in ("0.5", "2"):
-            assert ((tmp_path / "j1" / f"metrics_lambda_{lam}.csv").read_bytes()
-                    == (tmp_path / "j4" / f"metrics_lambda_{lam}.csv").read_bytes())
+        assert manifest["grid"] == [0.01, 1.0, 1e6]
+        assert manifest["divergence"] == [
+            None, None, {"epoch": 1, "step": 3, "cause": "non-finite loss"}
+        ]
+        err = capsys.readouterr().err
+        assert "lambda 1e+06 (epoch 1, step 3: non-finite loss)" in err
+        assert "lambda 1 " not in err
+        # the other lanes ran every epoch
+        for lam in ("0.01", "1"):
+            assert len((out / f"metrics_lambda_{lam}.csv").read_text().splitlines()) == 11
 
     def test_bad_grid_is_usage_error(self, tmp_path):
         src, tgt = gen_pair(tmp_path)

@@ -228,6 +228,48 @@ class TestBackward:
         for gc, ga, gb in zip(combined.weights, a.weights, b.weights):
             assert np.allclose(gc, ga + gb, atol=1e-12)
 
+    @pytest.mark.parametrize("layer", [1, 2])
+    def test_feature_only_pass_starts_at_alignment_layer(self, layer):
+        # no gradient at the probabilities: the layers above the alignment
+        # layer get exact zeros, the ones below what a zero probs-gradient
+        # backpropagated through every layer gives them
+        rng = np.random.default_rng(23)
+        m = init_model([3, 5, 4, 3], seed=4, hidden_activation="tanh")
+        trace = forward(m, rng.standard_normal((3, 6)), layer)
+        g_feat = rng.standard_normal(trace.feature_acts.shape)
+        short = backward(m, trace, None, g_feat)
+        full = backward(m, trace, np.zeros_like(trace.probs), g_feat)
+        for i in range(m.n_layers):
+            if i >= layer:
+                assert np.all(short.weights[i] == 0.0) and np.all(short.biases[i] == 0.0)
+            assert np.array_equal(short.weights[i], full.weights[i])
+            assert np.array_equal(short.biases[i], full.biases[i])
+
+    def test_lane_stack_matches_single_models(self):
+        rng = np.random.default_rng(29)
+        models = [init_model([3, 5, 4, 3], seed=s, hidden_activation="tanh") for s in range(3)]
+        stacked = network.MlpModel(
+            [3, 5, 4, 3],
+            [np.stack([mm.weights[i] for mm in models]) for i in range(3)],
+            [np.stack([mm.biases[i] for mm in models]) for i in range(3)],
+            "tanh",
+        )
+        x = rng.standard_normal((3, 7))
+        labels = one_hot(rng.integers(0, 3, size=7), 3)
+        trace = forward(stacked, x)
+        g_feat = rng.standard_normal(trace.feature_acts.shape)
+        grads = backward(stacked, trace, grad_cross_entropy_wrt_probs(trace.probs, labels), g_feat)
+        ce = cross_entropy(trace.probs, labels)
+        ent = entropy(trace.probs)
+        for lane, mm in enumerate(models):
+            tr = forward(mm, x)
+            g = backward(mm, tr, grad_cross_entropy_wrt_probs(tr.probs, labels), g_feat[lane])
+            assert trace.probs[lane].tobytes() == tr.probs.tobytes()
+            assert ce[lane] == cross_entropy(tr.probs, labels)
+            assert ent[lane] == entropy(tr.probs)
+            for a, b in zip(grads.weights + grads.biases, g.weights + g.biases):
+                assert a[lane].tobytes() == b.tobytes()
+
     def test_bad_gradient_shapes(self):
         m = init_model([3, 5, 3], seed=0)
         trace = forward(m, np.ones((3, 2)))

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -13,7 +15,7 @@ from meca.selection import (
     sweep,
     write_sweep_csv,
 )
-from meca.trainer import EpochMetrics, TrainConfig, TrainRunResult
+from meca.trainer import EpochMetrics, TrainConfig, TrainRunResult, train_run, write_metrics_csv
 
 
 def fake_metrics(e_targets, accs):
@@ -32,6 +34,19 @@ def stub_train_run(entropy_by_lambda, acc_by_lambda):
         return TrainRunResult(model, fake_metrics([e] * 6, [a] * 6), diverged=False)
 
     return fake
+
+
+def patch_runs(monkeypatch, run_one):
+    """Stub the lockstep trainer with one call of ``run_one`` per lambda."""
+
+    def fake_lanes(model, source, target, config, lambdas, eval_labels=None):
+        return [
+            run_one(model, source, target,
+                    dataclasses.replace(config, lambda_or_gamma=w), eval_labels)
+            for w in lambdas
+        ]
+
+    monkeypatch.setattr(selection, "train_lanes", fake_lanes)
 
 
 def tiny_setup(seed=0):
@@ -57,16 +72,15 @@ class TestGridValidation:
 class TestSelectionRule:
     def test_single_element_grid(self, monkeypatch):
         config, source, target, model, _ = tiny_setup()
-        monkeypatch.setattr(selection, "train_run",
-                            stub_train_run({3.0: 5.0}, {3.0: 0.8}))
+        patch_runs(monkeypatch, stub_train_run({3.0: 5.0}, {3.0: 0.8}))
         result = sweep(config, [3.0], source, target, model)
         assert result.selected_lambda == 3.0
         assert result.selection_rule == "argmin final target entropy"
 
     def test_argmin_entropy(self, monkeypatch):
         config, source, target, model, _ = tiny_setup()
-        monkeypatch.setattr(
-            selection, "train_run",
+        patch_runs(
+            monkeypatch,
             stub_train_run({0.1: 9.0, 1.0: 4.0, 10.0: 6.0},
                            {0.1: 0.5, 1.0: 0.7, 10.0: 0.9}),
         )
@@ -75,8 +89,8 @@ class TestSelectionRule:
 
     def test_tie_breaks_toward_smaller_lambda(self, monkeypatch):
         config, source, target, model, _ = tiny_setup()
-        monkeypatch.setattr(
-            selection, "train_run",
+        patch_runs(
+            monkeypatch,
             stub_train_run({1.0: 4.0, 2.0: 4.0 - 1e-13, 5.0: 8.0},
                            {1.0: 0.5, 2.0: 0.9, 5.0: 0.6}),
         )
@@ -85,8 +99,8 @@ class TestSelectionRule:
 
     def test_selection_ignores_accuracy(self, monkeypatch):
         config, source, target, model, _ = tiny_setup()
-        monkeypatch.setattr(
-            selection, "train_run",
+        patch_runs(
+            monkeypatch,
             stub_train_run({1.0: 2.0, 2.0: 3.0}, {1.0: 0.1, 2.0: 0.99}),
         )
         result = sweep(config, [1.0, 2.0], source, target, model)
@@ -101,7 +115,7 @@ class TestSelectionRule:
                 return TrainRunResult(model, fake_metrics([0.001], [0.9]), diverged=True)
             return TrainRunResult(model, fake_metrics([5.0] * 6, [0.7] * 6))
 
-        monkeypatch.setattr(selection, "train_run", fake)
+        patch_runs(monkeypatch, fake)
         result = sweep(config, [1.0, 2.0], source, target, model)
         assert result.selected_lambda == 2.0
         assert result.records[0].failed
@@ -112,7 +126,7 @@ class TestSelectionRule:
         def fake(model, source, target, config, eval_labels=None):
             return TrainRunResult(model, [], diverged=True)
 
-        monkeypatch.setattr(selection, "train_run", fake)
+        patch_runs(monkeypatch, fake)
         with pytest.raises(InsufficientRecordsError):
             sweep(config, [1.0, 2.0], source, target, model)
 
@@ -168,22 +182,19 @@ class TestRealSweep:
         assert lines[0] == "lambda,final_e_target,final_target_acc,selected"
         assert sum(ln.endswith(",1") for ln in lines[1:]) == 1
 
-    def test_jobs_do_not_change_outcome(self, tmp_path):
+    def test_lanes_match_standalone_runs(self, tmp_path):
+        # the sweep trains its grid in lockstep; each lane's files must hold
+        # the bytes of a standalone run at its lambda
         config, source, target, model, eval_labels = tiny_setup()
-        serial_dir = tmp_path / "serial"
-        parallel_dir = tmp_path / "parallel"
-        serial_dir.mkdir()
-        parallel_dir.mkdir()
-        r1 = sweep(config, [0.5, 2.0], source, target, model,
-                   eval_labels=eval_labels, out_dir=serial_dir, jobs=1)
-        r2 = sweep(config, [0.5, 2.0], source, target, model,
-                   eval_labels=eval_labels, out_dir=parallel_dir, jobs=4)
-        assert r1.selected_lambda == r2.selected_lambda
-        for a, b in zip(r1.records, r2.records):
-            assert a.final_e_target == b.final_e_target
-            assert a.final_target_acc == b.final_target_acc
-            assert (open(a.metrics_path, "rb").read()
-                    == open(b.metrics_path, "rb").read())
+        result = sweep(config, [0.5, 2.0], source, target, model,
+                       eval_labels=eval_labels, out_dir=tmp_path / "sweep")
+        for r in result.records:
+            alone = train_run(model, source, target,
+                              dataclasses.replace(config, lambda_or_gamma=r.lam), eval_labels)
+            path = tmp_path / f"alone_{r.lam:g}.csv"
+            write_metrics_csv(alone.metrics, path)
+            assert open(r.metrics_path, "rb").read() == path.read_bytes()
+            assert (r.final_e_target, r.final_target_acc) == final_readout(alone.metrics)
 
     def test_shared_seed_and_init(self, tmp_path):
         # identical lambda twice in separate sweeps must reproduce bit-for-bit

@@ -142,6 +142,81 @@ class TestSymEig:
             sym_eig(np.array([[2.0, 1.0], [1.0, 2.0]]))
 
 
+class TestStacks:
+    """A stack of matrices (one per training lane) along axis 0 gets, matrix
+    by matrix, the bits each matrix gets alone, and errors name the lanes."""
+
+    def stack(self, dim=6, lanes=5):
+        rng = np.random.default_rng(21)
+        mats = [random_spd_mat(rng, dim) for _ in range(lanes - 1)]
+        mats.append(np.diag([2.0, 2.0, 1.0, 1.0, 1.0, 0.5][:dim]))  # tied eigenvalues
+        return np.stack(mats)
+
+    def test_sym_eig_matches_slices(self):
+        stack = self.stack()
+        vals, vecs = sym_eig(stack)
+        for i, m in enumerate(stack):
+            v1, u1 = sym_eig(m)
+            assert vals[i].tobytes() == v1.tobytes()
+            assert vecs[i].tobytes() == u1.tobytes()
+
+    def test_distances_and_gradients_match_slices(self):
+        cs_stack = self.stack()
+        ct_stack = self.stack()[::-1].copy()
+        cs, ct = spd.SpdMatrix(cs_stack), spd.SpdMatrix(ct_stack)
+        d_le, d_eu = dist_log_euclidean(cs, ct), dist_euclidean(cs, ct)
+        gs, gt = grad_dist_log_euclidean(cs, ct)
+        for i in range(len(cs_stack)):
+            a, b = spd.SpdMatrix(cs_stack[i]), spd.SpdMatrix(ct_stack[i])
+            assert d_le[i] == dist_log_euclidean(a, b)
+            assert d_eu[i] == dist_euclidean(a, b)
+            assert mat_log(cs)[i].tobytes() == mat_log(a).tobytes()
+            g1, g2 = grad_dist_log_euclidean(a, b)
+            assert gs[i].tobytes() == g1.tobytes() and gt[i].tobytes() == g2.tobytes()
+            assert spd.add_jitter(cs_stack)[i].tobytes() == spd.add_jitter(cs_stack[i]).tobytes()
+
+    def test_errors_name_the_lanes(self):
+        stack = self.stack(dim=3, lanes=4)
+        non_finite = stack.copy()
+        non_finite[2, 0, 0] = np.nan
+        with pytest.raises(DegenerateMatrixError) as exc:
+            spd.add_jitter(non_finite)
+        assert exc.value.lanes == (2,)
+        with pytest.raises(DegenerateMatrixError) as exc:
+            sym_eig(non_finite)
+        assert exc.value.lanes == (2,)
+        indefinite = stack.copy()
+        indefinite[1] = np.diag([1.0, 1.0, -1.0])
+        indefinite[3] = np.diag([1.0, 0.0, 0.0])
+        with pytest.raises(DegenerateMatrixError) as exc:
+            spd.SpdMatrix(indefinite).eigvals
+        assert exc.value.lanes == (1, 3)
+        asymmetric = stack.copy()
+        asymmetric[0, 0, 1] += 1.0
+        with pytest.raises(NonSymmetricError) as exc:
+            sym_eig(asymmetric)
+        assert exc.value.lanes == (0,)
+        with pytest.raises(DegenerateMatrixError) as exc:
+            sym_eig(non_finite[2])
+        assert exc.value.lanes is None
+
+    def test_lapack_failure_names_the_lane(self, monkeypatch):
+        real_eigh = np.linalg.eigh
+
+        def eigh(m):
+            # fails on any input holding the poisoned matrix
+            if np.any(m[..., 0, 0] == 7.0):
+                raise np.linalg.LinAlgError("Eigenvalues did not converge")
+            return real_eigh(m)
+
+        stack = self.stack(dim=3, lanes=3)
+        stack[1, 0, 0] = 7.0
+        monkeypatch.setattr(spd.np.linalg, "eigh", eigh)
+        with pytest.raises(NoConvergenceError) as exc:
+            sym_eig(stack)
+        assert exc.value.lanes == (1,)
+
+
 class TestMakeSpd:
     def test_identity_plus_jitter(self):
         c = make_spd(np.eye(2), 1e-5)

@@ -8,9 +8,13 @@ from meca.errors import BadShapeError, ConfigInvalidError, TooFewSamplesError
 from meca.network import LabeledBatch, UnlabeledBatch, init_model
 from meca.trainer import (
     METRICS_HEADER,
+    NON_FINITE_LOSS,
+    NON_FINITE_METRICS,
+    Divergence,
     TrainConfig,
     evaluate,
     kl_diagnostic,
+    train_lanes,
     train_run,
     write_metrics_csv,
 )
@@ -161,7 +165,7 @@ class TestTrainRun:
         model = init_model([4, 8, 5, 3], seed=1)
         cfg = quick_config(epochs=30, learning_rate=2e-3)
         result = train_run(model, source, target, cfg, source_ds.labels)
-        assert not result.diverged
+        assert not result.diverged and result.divergence is None
         assert result.metrics[-1].pen_value < 1e-3
         assert result.metrics[-1].h_source < result.metrics[0].h_source
 
@@ -209,6 +213,7 @@ class TestTrainRun:
                            target_ds.as_unlabeled_batch(), cfg)
         assert result.diverged
         assert len(result.metrics) < 20
+        assert result.divergence == Divergence(epoch=1, step=None, cause=NON_FINITE_METRICS)
 
     def test_target_batches_cycle(self):
         source_ds, _ = small_domains()
@@ -250,6 +255,98 @@ class TestTrainRun:
             train_run(model, source_ds.as_labeled_batch(),
                       target_ds.as_unlabeled_batch(), quick_config(),
                       eval_labels=one_hot([0, 1], 3))
+
+
+def lane_bytes(result, path):
+    """(metrics CSV bytes, parameter bytes, divergence) of one run."""
+    write_metrics_csv(result.metrics, path)
+    params = b"".join(a.tobytes() for a in result.model.weights + result.model.biases)
+    return path.read_bytes(), params, result.divergence
+
+
+class TestLockstep:
+    """Each lane of a lockstep run is byte-identical to train_run at its weight."""
+
+    def check_lanes(self, tmp_path, config, grid, hidden, activation):
+        source_ds, target_ds = small_domains()
+        source, target = source_ds.as_labeled_batch(), target_ds.as_unlabeled_batch()
+        model = init_model([4, *hidden, 3], seed=0, hidden_activation=activation)
+        lanes = train_lanes(model, source, target, config, grid, target_ds.labels)
+        assert len(lanes) == len(grid)
+        for lam, lane in zip(grid, lanes):
+            alone = train_run(model, source, target,
+                              dataclasses.replace(config, lambda_or_gamma=lam), target_ds.labels)
+            assert (lane_bytes(lane, tmp_path / "lane.csv")
+                    == lane_bytes(alone, tmp_path / "alone.csv"))
+        return lanes
+
+    @pytest.mark.parametrize("method,activation", [
+        ("meca_geodesic", "tanh"),
+        ("coral_euclidean", "relu"),
+    ])
+    def test_lanes_match_standalone_runs(self, tmp_path, method, activation):
+        config = quick_config(method=method, epochs=3, batch_size=16)
+        self.check_lanes(tmp_path, config, [0.1, 1.0, 5.0], (64, 32), activation)
+
+    @pytest.mark.parametrize("method", ["source_only", "entropy_reg"])
+    def test_methods_without_alignment(self, tmp_path, method):
+        config = quick_config(method=method, epochs=2, batch_size=16)
+        self.check_lanes(tmp_path, config, [0.1, 0.5], (8, 5), "tanh")
+
+    def test_single_lane(self, tmp_path):
+        config = quick_config(epochs=2, batch_size=16, alignment_layer_index=1)
+        self.check_lanes(tmp_path, config, [2.0], (64, 32), "tanh")
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_diverging_lanes_stop_alone(self, tmp_path):
+        config = quick_config(method="coral_euclidean", epochs=5, learning_rate=0.01)
+        lanes = self.check_lanes(tmp_path, config, [1.0, 3.0, 30.0, 100.0], (64, 32), "relu")
+        assert [len(r.metrics) for r in lanes] == [5, 5, 2, 1]
+        assert [r.diverged for r in lanes] == [False, False, True, True]
+        assert lanes[2].divergence.epoch == 3 and lanes[3].divergence.epoch == 2
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_non_finite_loss_retires_only_its_lane(self):
+        source_ds, target_ds = small_domains()
+        source, target = source_ds.as_labeled_batch(), target_ds.as_unlabeled_batch()
+        model = init_model([4, 6, 3], seed=0)
+        config = quick_config(method="entropy_reg", epochs=2)
+        lanes = train_lanes(model, source, target, config, [0.5, 1e308, 0.1])
+        assert lanes[1].divergence == Divergence(epoch=1, step=1, cause=NON_FINITE_LOSS)
+        assert lanes[1].metrics == [] and not lanes[0].diverged and not lanes[2].diverged
+        for w0, w1 in zip(model.weights, lanes[1].model.weights):
+            assert np.array_equal(w0, w1)  # frozen before its first step
+
+    def test_stacked_reductions_match_slices(self):
+        # the numpy kernels a lane stack runs through: reductions along
+        # contiguous and strided axes, and matmul with transposed operands,
+        # must give each slice the bits it gets alone
+        rng = np.random.default_rng(31)
+        c_stack = rng.standard_normal((5, 6, 40))
+        for stack in (c_stack, np.swapaxes(c_stack, -1, -2)):
+            for axis in (-1, -2, (-2, -1)):
+                whole = np.sum(stack, axis=axis)
+                means = np.mean(stack, axis=axis)
+                for i in range(len(stack)):
+                    assert whole[i].tobytes() == np.sum(stack[i], axis=axis).tobytes()
+                    assert means[i].tobytes() == np.mean(stack[i], axis=axis).tobytes()
+            var = np.var(stack, axis=-1)
+            gram = stack @ np.swapaxes(stack, -1, -2)
+            for i in range(len(stack)):
+                assert var[i].tobytes() == np.var(stack[i], axis=-1).tobytes()
+                assert gram[i].tobytes() == (stack[i] @ stack[i].T).tobytes()
+        shared = rng.standard_normal((40, 7))
+        product = c_stack @ shared
+        for i in range(len(c_stack)):
+            assert product[i].tobytes() == (c_stack[i] @ shared).tobytes()
+
+    def test_lambdas_validated(self):
+        source_ds, target_ds = small_domains()
+        model = init_model([4, 6, 3], seed=0)
+        for bad in ([], [1.0, -1.0], [float("nan")]):
+            with pytest.raises(ConfigInvalidError):
+                train_lanes(model, source_ds.as_labeled_batch(),
+                            target_ds.as_unlabeled_batch(), quick_config(), bad)
 
 
 class TestMetricsCsv:
