@@ -6,7 +6,7 @@ prediction entropy.
 
 __version__ = "0.1.0"
 
-from .alignment import AlignmentPenalty, covariance
+from .alignment import covariance
 from .data import Dataset, ShiftSpec, apply_shift, gen_blobs, read_csv, read_idx, write_csv
 from .network import (
     LabeledBatch,
@@ -35,7 +35,6 @@ from .trainer import EpochMetrics, TrainConfig, TrainRunResult, evaluate, kl_dia
 
 __all__ = [
     "__version__",
-    "AlignmentPenalty",
     "Dataset",
     "EpochMetrics",
     "LabeledBatch",

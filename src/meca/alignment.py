@@ -8,35 +8,11 @@ the activations by the chain rule.  Activations may carry a leading lane axis
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import spd
 from .errors import BadShapeError, TooFewSamplesError
 from .spd import SpdMatrix
-
-PENALTY_KINDS = ("none", "euclidean", "log_euclidean")
-
-
-@dataclass(frozen=True)
-class AlignmentPenalty:
-    """Choice of covariance distance, its weight, and covariance options.
-
-    ``lam`` is one weight, or an array with one weight per lane.
-    """
-
-    kind: str = "log_euclidean"
-    lam: float | np.ndarray = 1.0
-    jitter_rel: float = spd.DEFAULT_JITTER_REL
-    normalize_cov: bool = False
-
-    def __post_init__(self):
-        if self.kind not in PENALTY_KINDS:
-            raise BadShapeError(f"unknown penalty kind {self.kind!r}")
-        lam = np.asarray(self.lam)
-        if not np.isfinite(lam).all() or (lam < 0.0).any():
-            raise BadShapeError(f"penalty weight must be finite and >= 0, got {self.lam}")
 
 
 def _centered(acts: np.ndarray) -> np.ndarray:
@@ -48,13 +24,21 @@ def _centered(acts: np.ndarray) -> np.ndarray:
     return acts - acts.mean(axis=-1, keepdims=True)
 
 
-def raw_covariance(acts: np.ndarray, normalize: bool = False) -> np.ndarray:
-    """Pre-jitter covariance A J A^T (optionally divided by n - 1)."""
-    m = _centered(acts)
+def _scatter(m: np.ndarray, normalize: bool) -> np.ndarray:
+    """M M^T of centered activations M (optionally divided by n - 1)."""
     c = m @ m.swapaxes(-1, -2)
     if normalize:
-        c = c / (acts.shape[-1] - 1)
+        c = c / (m.shape[-1] - 1)
     return c
+
+
+def _jittered_covariance(m: np.ndarray, jitter_rel: float, normalize: bool) -> SpdMatrix:
+    return SpdMatrix(spd.add_jitter(_scatter(m, normalize), jitter_rel))
+
+
+def raw_covariance(acts: np.ndarray, normalize: bool = False) -> np.ndarray:
+    """Pre-jitter covariance A J A^T (optionally divided by n - 1)."""
+    return _scatter(_centered(acts), normalize)
 
 
 def covariance(
@@ -69,7 +53,7 @@ def covariance(
     eigendecomposition waits for first use, so the Euclidean penalty never
     computes one.  An overflowed batch raises DegenerateMatrixError.
     """
-    return SpdMatrix(spd.add_jitter(raw_covariance(acts, normalize=normalize), jitter_rel))
+    return _jittered_covariance(_centered(acts), jitter_rel, normalize)
 
 
 def penalty_distance(cs: SpdMatrix, ct: SpdMatrix, kind: str) -> float | np.ndarray:
@@ -81,17 +65,17 @@ def penalty_distance(cs: SpdMatrix, ct: SpdMatrix, kind: str) -> float | np.ndar
 
 
 def _grad_through_covariance(
-    acts: np.ndarray, g_cov: np.ndarray, jitter_rel: float, normalize: bool
+    m: np.ndarray, g_cov: np.ndarray, jitter_rel: float, normalize: bool
 ) -> np.ndarray:
-    """Chain a covariance gradient back to the activations.
+    """Chain a covariance gradient back to the activations, given the
+    centered activations ``m``.
 
     C = s A J A^T + eps I with s the optional 1/(n-1) factor and eps the
     trace-proportional jitter, so the gradient has a main term through the
     quadratic form and a small term through the jitter's trace dependence,
     which vanishes where the jitter sits at its floor.
     """
-    m = _centered(acts)
-    d, n = acts.shape[-2:]
+    d, n = m.shape[-2:]
     s = 1.0 / (n - 1) if normalize else 1.0
     grad = s * ((g_cov + g_cov.swapaxes(-1, -2)) @ m)
     raw_trace = s * (m * m).sum(axis=(-2, -1))
@@ -104,12 +88,17 @@ def _grad_through_covariance(
 
 
 def penalty_value_and_grads(
-    acts_s: np.ndarray, acts_t: np.ndarray, penalty: AlignmentPenalty
+    acts_s: np.ndarray,
+    acts_t: np.ndarray,
+    kind: str,
+    jitter_rel: float = spd.DEFAULT_JITTER_REL,
+    normalize: bool = False,
 ) -> tuple[float | np.ndarray, np.ndarray, np.ndarray]:
-    """Weighted penalty value and its gradients w.r.t. both activation sets.
+    """Unweighted penalty value and its gradients w.r.t. both activation sets.
 
-    Builds each covariance once and reuses it, and its eigendecomposition
-    when the penalty is log-Euclidean, for the value and the gradient.
+    ``kind`` is "euclidean" or "log_euclidean".  Centers each batch and builds
+    each covariance once, and reuses them, and the eigendecomposition when the
+    penalty is log-Euclidean, for the value and the gradient.
     """
     acts_s = np.asarray(acts_s, dtype=np.float64)
     acts_t = np.asarray(acts_t, dtype=np.float64)
@@ -118,22 +107,14 @@ def penalty_value_and_grads(
             f"source and target activations of shapes {acts_s.shape} and "
             f"{acts_t.shape} differ in feature count"
         )
-    lam = np.asarray(penalty.lam)
-    if penalty.kind == "none" or not lam.any():
-        return 0.0, np.zeros_like(acts_s), np.zeros_like(acts_t)
-    cs = covariance(acts_s, penalty.jitter_rel, penalty.normalize_cov)
-    ct = covariance(acts_t, penalty.jitter_rel, penalty.normalize_cov)
-    if penalty.kind == "euclidean":
-        value = spd.dist_euclidean(cs, ct)
+    ms, mt = _centered(acts_s), _centered(acts_t)
+    cs = _jittered_covariance(ms, jitter_rel, normalize)
+    ct = _jittered_covariance(mt, jitter_rel, normalize)
+    value = penalty_distance(cs, ct, kind)  # raises BadShapeError for an unknown kind
+    if kind == "euclidean":
         gs, gt = spd.grad_dist_euclidean(cs, ct)
     else:
-        value = spd.dist_log_euclidean(cs, ct)
         gs, gt = spd.grad_dist_log_euclidean(cs, ct)
-    lam_m = lam[..., None, None]
-    ga_s = lam_m * _grad_through_covariance(
-        acts_s, gs, penalty.jitter_rel, penalty.normalize_cov
-    )
-    ga_t = lam_m * _grad_through_covariance(
-        acts_t, gt, penalty.jitter_rel, penalty.normalize_cov
-    )
-    return penalty.lam * value, ga_s, ga_t
+    ga_s = _grad_through_covariance(ms, gs, jitter_rel, normalize)
+    ga_t = _grad_through_covariance(mt, gt, jitter_rel, normalize)
+    return value, ga_s, ga_t

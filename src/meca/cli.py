@@ -46,11 +46,7 @@ def _csv_ints(text: str) -> list[int]:
     return [int(v) for v in text.split(",") if v.strip()]
 
 
-def _add_train_options(p: argparse.ArgumentParser, with_method: bool = True):
-    if with_method:
-        p.add_argument("--method", choices=sorted(CLI_METHODS), default="meca")
-    p.add_argument("--lambda", dest="lam", type=float, default=0.1)
-    p.add_argument("--gamma", type=float, default=0.1)
+def _add_train_options(p: argparse.ArgumentParser):
     p.add_argument("--epochs", type=int, default=100)
     p.add_argument("--batch-size", type=int, default=128)
     p.add_argument("--lr", type=float, default=0.01)
@@ -80,11 +76,15 @@ def build_parser() -> _Parser:
     p_gen.add_argument("--out-dir", required=True)
 
     p_train = sub.add_parser("train", help="train one configuration")
+    p_train.add_argument("--method", choices=sorted(CLI_METHODS), default="meca")
+    p_train.add_argument("--lambda", "--gamma", dest="weight", type=float, default=0.1,
+                         help="weight of the alignment penalty (coral, meca) or of the "
+                              "target entropy (entropy_reg); the two spellings are one option")
     _add_train_options(p_train)
 
     p_sweep = sub.add_parser("sweep", help="train across a lambda grid and select by target entropy")
-    _add_train_options(p_sweep, with_method=False)
     p_sweep.add_argument("--method", choices=("coral", "meca"), default="meca")
+    _add_train_options(p_sweep)
     p_sweep.add_argument(
         "--grid",
         type=_csv_floats,
@@ -99,8 +99,6 @@ def build_parser() -> _Parser:
         default=None,
         help=f"subset of: {','.join(verify.CHECKS)}",
     )
-    p_verify.add_argument("--corrupt-gradient", type=float, default=0.0,
-                          help=argparse.SUPPRESS)  # test hook
     return parser
 
 
@@ -173,8 +171,7 @@ def cmd_train(args, argv: list[str]) -> int:
     source, target, eval_labels = _load_domain_pair(args)
 
     method = CLI_METHODS[args.method]
-    weight = args.gamma if method == "entropy_reg" else args.lam
-    config = _make_config(args, method, weight)
+    config = _make_config(args, method, args.weight)
     k = source.labels.shape[1]
     sizes = [source.inputs.shape[0]] + list(args.hidden) + [k]
     model = network.init_model(sizes, seed=args.seed, hidden_activation=args.activation)
@@ -275,7 +272,7 @@ def cmd_sweep(args, argv: list[str]) -> int:
 
 def cmd_verify(args) -> int:
     try:
-        results = verify.run_checks(args.checks, corrupt_gradient=args.corrupt_gradient)
+        results = verify.run_checks(args.checks)
     except KeyError as exc:
         print(f"meca verify: {exc.args[0]}", file=sys.stderr)
         return EXIT_USAGE

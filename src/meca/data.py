@@ -67,8 +67,6 @@ class ShiftSpec:
             raise BadParamsError(f"noise_sigma must be >= 0, got {self.noise_sigma}")
 
 
-IDENTITY_SHIFT = ShiftSpec()
-
 # Desk-scale stand-in for a real covariate shift: strong enough that a
 # source-only model visibly degrades, weak enough that alignment recovers it.
 ROTATED_BLOBS_SHIFT = ShiftSpec(

@@ -2,16 +2,7 @@
 
 
 class MecaError(Exception):
-    """Base class for all package errors.
-
-    ``lanes`` is set when the error was raised on a stack of matrices (one per
-    training lane, stacked along axis 0): the indices of the failed lanes.  It
-    is None for an error on a single matrix.
-    """
-
-    def __init__(self, *args, lanes: tuple[int, ...] | None = None):
-        super().__init__(*args)
-        self.lanes = lanes
+    """Base class for all package errors."""
 
 
 class NonSymmetricError(MecaError):

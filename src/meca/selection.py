@@ -29,8 +29,11 @@ class SweepRecord:
     final_e_target: float
     final_target_acc: float
     metrics_path: str | None = None
-    failed: bool = False
     divergence: Divergence | None = None
+
+    @property
+    def failed(self) -> bool:
+        return self.divergence is not None
 
 
 @dataclass
@@ -103,7 +106,6 @@ def sweep(
                 final_e_target=final_e,
                 final_target_acc=final_acc,
                 metrics_path=path,
-                failed=result.diverged,
                 divergence=result.divergence,
             )
         )

@@ -36,8 +36,8 @@ class SpdMatrix:
 
     ``eigvals`` are sorted descending and all strictly positive; ``eigvecs``
     holds the matching eigenvectors as columns and is orthogonal.  Reading
-    either raises DegenerateMatrixError, naming the failed lanes of a stack,
-    when ``mat`` is not positive definite.  Callers that need only ``mat``
+    either raises DegenerateMatrixError when ``mat``, or any matrix of a
+    stack, is not positive definite.  Callers that need only ``mat``
     (the Euclidean distance) never pay for a decomposition.  ``mat`` must be
     symmetric with finite entries; treat instances as immutable.
     """
@@ -47,12 +47,10 @@ class SpdMatrix:
     @cached_property
     def _eig(self) -> tuple[np.ndarray, np.ndarray]:
         vals, vecs = sym_eig(self.mat)
-        bad = vals[..., -1] <= 0.0
-        if bad.any():
+        if (vals[..., -1] <= 0.0).any():
             raise DegenerateMatrixError(
                 "matrix is not positive definite "
-                f"(min eigenvalue {np.min(vals[..., -1]):.3e})",
-                lanes=_lanes(bad),
+                f"(min eigenvalue {np.min(vals[..., -1]):.3e})"
             )
         return vals, vecs
 
@@ -77,11 +75,6 @@ class SpdMatrix:
         return self.mat.shape[-1]
 
 
-def _lanes(bad: np.ndarray) -> tuple[int, ...] | None:
-    """The failed lanes of a per-matrix mask; None for a single matrix."""
-    return None if bad.ndim == 0 else tuple(int(i) for i in np.flatnonzero(bad))
-
-
 def _check_square(m: np.ndarray) -> np.ndarray:
     m = np.asarray(m, dtype=np.float64)
     if m.ndim not in (2, 3) or m.shape[-1] != m.shape[-2] or m.size == 0:
@@ -93,30 +86,17 @@ def _check_square(m: np.ndarray) -> np.ndarray:
 
 def _check_symmetric(m: np.ndarray) -> np.ndarray:
     m = _check_square(m)
-    scale = np.abs(m).max(axis=(-2, -1))  # NaN or inf when any entry is
-    bad = ~np.isfinite(scale)
-    if bad.any():
-        raise DegenerateMatrixError("matrix has non-finite entries", lanes=_lanes(bad))
+    scale = np.abs(m).max(axis=(-2, -1))  # per matrix; NaN or inf when any entry is
+    if not np.isfinite(scale).all():
+        raise DegenerateMatrixError("matrix has non-finite entries")
     asym = np.abs(m - m.swapaxes(-1, -2)).max(axis=(-2, -1))
     bad = asym > SYMMETRY_RTOL * scale
     if bad.any():
         raise NonSymmetricError(
             f"asymmetry {asym[bad][0]:.3e} exceeds tolerance "
-            f"{SYMMETRY_RTOL * scale[bad][0]:.3e}",
-            lanes=_lanes(bad),
+            f"{SYMMETRY_RTOL * scale[bad][0]:.3e}"
         )
     return m
-
-
-def _unsolvable(stack: np.ndarray) -> tuple[int, ...]:
-    """Lanes of a stack on which LAPACK fails, found by solving each alone."""
-    failed = []
-    for lane, m in enumerate(stack):
-        try:
-            np.linalg.eigh(m)
-        except np.linalg.LinAlgError:
-            failed.append(lane)
-    return tuple(failed) or tuple(range(len(stack)))  # none fails alone: name all
 
 
 def sym_eig(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -129,8 +109,8 @@ def sym_eig(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     bits it gets alone; deterministic for identical input bits on one
     numpy/LAPACK build.  Raises NonSymmetricError for a non-square or
     asymmetric matrix, DegenerateMatrixError for non-finite entries and
-    NoConvergenceError when LAPACK does not converge; on a stack each error
-    names the failed lanes.
+    NoConvergenceError when LAPACK does not converge, on a stack when any of
+    its matrices does; each matrix is checked against its own scale.
     """
     m = _check_symmetric(m)
     stack = m.reshape((-1,) + m.shape[-2:])  # a single matrix is a stack of one
@@ -138,10 +118,7 @@ def sym_eig(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     try:
         vals, vecs = np.linalg.eigh(sym)
     except np.linalg.LinAlgError as exc:
-        raise NoConvergenceError(
-            f"eigh failed for n={m.shape[-1]}: {exc}",
-            lanes=None if m.ndim == 2 else _unsolvable(sym),
-        ) from None
+        raise NoConvergenceError(f"eigh failed for n={m.shape[-1]}: {exc}") from None
     lane = np.arange(len(stack))[:, None]
     order = np.argsort(-vals, axis=-1, kind="stable")  # ties keep LAPACK's order
     rows = vecs.swapaxes(-1, -2)[lane, order]  # eigenvectors as rows, descending
@@ -171,10 +148,8 @@ def add_jitter(m: np.ndarray, jitter_rel: float = DEFAULT_JITTER_REL) -> np.ndar
     ``m`` must be square.  Raises DegenerateMatrixError when ``m`` has
     non-finite entries, as an overflowed batch covariance does.
     """
-    finite = np.isfinite(m)
-    if not finite.all():
-        bad = ~finite.all(axis=(-2, -1))
-        raise DegenerateMatrixError("matrix has non-finite entries", lanes=_lanes(bad))
+    if not np.isfinite(m).all():
+        raise DegenerateMatrixError("matrix has non-finite entries")
     dim = m.shape[-1]
     eps = np.maximum(jitter_rel * m.trace(axis1=-2, axis2=-1) / dim, JITTER_FLOOR)
     return m + eps[..., None, None] * np.eye(dim)

@@ -14,12 +14,12 @@ gets the bits it gets alone.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import network
-from .alignment import AlignmentPenalty, covariance, penalty_distance, penalty_value_and_grads
+from .alignment import covariance, penalty_distance, penalty_value_and_grads
 from .data import format_float
 from .errors import (
     BadShapeError,
@@ -33,8 +33,6 @@ from .network import LabeledBatch, MlpModel, ParamGrads, UnlabeledBatch
 
 METHODS = ("source_only", "entropy_reg", "coral_euclidean", "meca_geodesic")
 METHOD_PENALTY_KIND = {
-    "source_only": "none",
-    "entropy_reg": "none",
     "coral_euclidean": "euclidean",
     "meca_geodesic": "log_euclidean",
 }
@@ -104,8 +102,11 @@ class Divergence:
 class TrainRunResult:
     model: MlpModel
     metrics: list[EpochMetrics] = field(default_factory=list)
-    diverged: bool = False
     divergence: Divergence | None = None
+
+    @property
+    def diverged(self) -> bool:
+        return self.divergence is not None
 
 
 def _accuracy(probs: np.ndarray, labels: np.ndarray) -> float | np.ndarray:
@@ -172,42 +173,60 @@ def _epoch_metrics(
 
 
 class _NonFinite(MecaError):
-    """Some lanes' loss or metrics are not finite; the message is the cause."""
+    """A lane's loss or metrics are not finite; the message is the cause."""
 
 
 def _require_finite(cause: str, *per_lane: np.ndarray) -> None:
-    """Raise _NonFinite naming each lane with a non-finite value."""
-    bad = ~np.isfinite(np.stack(per_lane)).all(axis=0)
-    if bad.any():
-        raise _NonFinite(cause, lanes=tuple(int(i) for i in np.flatnonzero(bad)))
+    if not np.isfinite(np.stack(per_lane)).all():
+        raise _NonFinite(cause)
+
+
+# what ends a lane: a non-finite loss or metric, or a covariance path
+# poisoned by overflowed activations
+_LANE_FAILURES = (DegenerateMatrixError, NoConvergenceError, _NonFinite)
+
+
+def _cause(exc: Exception) -> str:
+    return str(exc) if isinstance(exc, _NonFinite) else type(exc).__name__
 
 
 def _lane_grads(
-    lanes: _Lanes, xs: np.ndarray, zs: np.ndarray, xt: np.ndarray, config: TrainConfig
+    model: MlpModel,
+    lambdas: np.ndarray,
+    xs: np.ndarray,
+    zs: np.ndarray,
+    xt: np.ndarray,
+    config: TrainConfig,
 ) -> ParamGrads:
-    """Each lane's parameter gradients on one mini-batch pair; raises
-    _NonFinite for the lanes whose loss is not finite."""
-    model, lam = lanes.model, lanes.lambdas
+    """Each lane's parameter gradients on one mini-batch pair, its
+    regularizer (the alignment penalty, or the target entropy for
+    entropy_reg) weighted by its lambda; raises _NonFinite when a lane's loss
+    is not finite."""
     layer = config.alignment_layer_index
+    lam = lambdas[:, None, None]
     trace_s = network.forward(model, xs, layer)
     total = network.cross_entropy(trace_s.probs, zs)
     g_probs_s = network.grad_cross_entropy_wrt_probs(trace_s.probs, zs)
-    if config.method == "source_only":
+    if config.method == "source_only" or not lambdas.any():  # no regularizer
         grads = network.backward(model, trace_s, g_probs_s, None)
     elif config.method == "entropy_reg":
         trace_t = network.forward(model, xt, layer)
-        total = total + lam * network.entropy(trace_t.probs)
-        g_probs_t = lam[:, None, None] * network.grad_entropy_wrt_probs(trace_t.probs)
+        total = total + lambdas * network.entropy(trace_t.probs)
+        g_probs_t = lam * network.grad_entropy_wrt_probs(trace_t.probs)
         grads = network.backward(model, trace_s, g_probs_s, None)
         grads.add_(network.backward(model, trace_t, g_probs_t, None))
     else:
         trace_t = network.forward(model, xt, layer)
         pen_val, ga_s, ga_t = penalty_value_and_grads(
-            trace_s.feature_acts, trace_t.feature_acts, lanes.penalty
+            trace_s.feature_acts,
+            trace_t.feature_acts,
+            METHOD_PENALTY_KIND[config.method],
+            config.jitter_rel,
+            config.normalize_cov,
         )
-        total = total + pen_val
-        grads = network.backward(model, trace_s, g_probs_s, ga_s)
-        grads.add_(network.backward(model, trace_t, None, ga_t))
+        total = total + lambdas * pen_val
+        grads = network.backward(model, trace_s, g_probs_s, lam * ga_s)
+        grads.add_(network.backward(model, trace_t, None, lam * ga_t))
     _require_finite(NON_FINITE_LOSS, total)
     return grads
 
@@ -215,22 +234,16 @@ def _lane_grads(
 class _Lanes:
     """The lanes of one lockstep run.
 
-    The lanes still training keep their lambdas (also as the alignment
-    penalty's weights), parameters and momentum velocities stacked along axis
-    0, with ``ids`` giving each one's position in the grid; a lane that
-    diverges is frozen into its result and dropped from the stacks.
+    The lanes still training keep their lambdas, parameters and momentum
+    velocities stacked along axis 0, with ``ids`` giving each one's position
+    in the grid; a lane that diverges is frozen into its result and dropped
+    from the stacks.
     """
 
-    def __init__(self, model: MlpModel, lambdas: np.ndarray, config: TrainConfig):
+    def __init__(self, model: MlpModel, lambdas: np.ndarray):
         n = lambdas.size
         self.ids = np.arange(n)
         self.lambdas = lambdas
-        self.penalty = AlignmentPenalty(
-            kind=METHOD_PENALTY_KIND[config.method],
-            lam=lambdas,
-            jitter_rel=config.jitter_rel,
-            normalize_cov=config.normalize_cov,
-        )
         self.model = MlpModel(
             layer_sizes=list(model.layer_sizes),
             weights=[np.repeat(w[None], n, axis=0) for w in model.weights],
@@ -242,7 +255,8 @@ class _Lanes:
         self.metrics: list[list[EpochMetrics]] = [[] for _ in range(n)]
         self.results: list[TrainRunResult | None] = [None] * n
 
-    def _model_of(self, pos: int) -> MlpModel:
+    def _model_of(self, pos: int | slice) -> MlpModel:
+        """A copy of lane ``pos``'s parameters; a slice keeps the lane axis."""
         return MlpModel(
             layer_sizes=list(self.model.layer_sizes),
             weights=[w[pos].copy() for w in self.model.weights],
@@ -250,35 +264,43 @@ class _Lanes:
             hidden_activation=self.model.hidden_activation,
         )
 
-    def retire(self, failed: np.ndarray, divergence: Divergence) -> None:
-        """Freeze the lanes flagged in ``failed`` with their current parameters."""
-        for pos in np.flatnonzero(failed):
+    def retire(self, causes: list[str | None], epoch: int, step: int | None) -> None:
+        """Freeze each lane that has a cause with its current parameters."""
+        keep = np.array([cause is None for cause in causes])
+        for pos in np.flatnonzero(~keep):
             lane = self.ids[pos]
-            self.results[lane] = TrainRunResult(
-                self._model_of(pos), self.metrics[lane], True, divergence
-            )
-        keep = ~failed
+            divergence = Divergence(epoch, step, causes[pos])
+            self.results[lane] = TrainRunResult(self._model_of(pos), self.metrics[lane], divergence)
         self.ids, self.lambdas = self.ids[keep], self.lambdas[keep]
-        self.penalty = replace(self.penalty, lam=self.lambdas)
         self.model.weights = [w[keep] for w in self.model.weights]
         self.model.biases = [b[keep] for b in self.model.biases]
         self.vel_w = [v[keep] for v in self.vel_w]
         self.vel_b = [v[keep] for v in self.vel_b]
 
+    def _failure_alone(self, compute, pos: int) -> str | None:
+        """The cause of lane ``pos`` failing when computed on its own, as a
+        one-lane stack; None when it succeeds."""
+        try:
+            compute(self._model_of(slice(pos, pos + 1)), self.lambdas[pos : pos + 1])
+        except _LANE_FAILURES as exc:
+            return _cause(exc)
+        return None
+
     def attempt(self, compute, epoch: int, step: int | None):
-        """``compute()`` on the lanes still training.  When it fails for some
-        lanes (a non-finite loss or metric, or a covariance path poisoned by
-        overflowed activations), those lanes are retired and the rest
-        computed again; None once no lane is left.
+        """``compute(model, lambdas)`` on the lanes still training.  When it
+        fails, each lane is computed alone: the lanes that fail are retired,
+        each with its own cause, and the rest computed again.  When no lane
+        fails alone, every lane ends with the failure of the stack.  None
+        once no lane is left.
         """
         while self.ids.size:
             try:
-                return compute()
-            except (DegenerateMatrixError, NoConvergenceError, _NonFinite) as exc:
-                cause = str(exc) if isinstance(exc, _NonFinite) else type(exc).__name__
-                failed = np.zeros(self.ids.size, dtype=bool)
-                failed[slice(None) if exc.lanes is None else list(exc.lanes)] = True
-                self.retire(failed, Divergence(epoch, step, cause))
+                return compute(self.model, self.lambdas)
+            except _LANE_FAILURES as exc:
+                causes = [self._failure_alone(compute, pos) for pos in range(self.ids.size)]
+                if not any(causes):
+                    causes = [_cause(exc)] * self.ids.size
+                self.retire(causes, epoch, step)
         return None
 
     def momentum_step(self, grads: ParamGrads, lr: float, momentum: float) -> None:
@@ -321,12 +343,11 @@ def train_lanes(
     lambdas = np.array(lambdas, dtype=np.float64).reshape(-1)
     if lambdas.size == 0 or not np.all(np.isfinite(lambdas)) or np.any(lambdas < 0.0):
         raise ConfigInvalidError(f"lambdas must be finite and >= 0, got {lambdas.tolist()}")
-    has_alignment = config.method in ("coral_euclidean", "meca_geodesic")
     # the distance reported per epoch: the method's own penalty when it has
     # one, the geodesic distance as a diagnostic otherwise
-    metric_kind = METHOD_PENALTY_KIND[config.method] if has_alignment else "log_euclidean"
+    metric_kind = METHOD_PENALTY_KIND.get(config.method, "log_euclidean")
 
-    lanes = _Lanes(model, lambdas, config)
+    lanes = _Lanes(model, lambdas)
     rng = np.random.default_rng(config.seed)
     for epoch in range(1, config.epochs + 1):
         perm_s = rng.permutation(source.n)
@@ -340,17 +361,15 @@ def train_lanes(
             xt = target.inputs[:, idx_t]
 
             grads = lanes.attempt(
-                lambda: _lane_grads(lanes, xs, zs, xt, config),
-                epoch,
-                step,
+                lambda m, lam: _lane_grads(m, lam, xs, zs, xt, config), epoch, step
             )
             if grads is None:
                 return lanes.results
             lanes.momentum_step(grads, config.learning_rate, config.momentum)
 
         rows = lanes.attempt(
-            lambda: _epoch_metrics(
-                lanes.model, source, target, config, epoch, metric_kind, eval_labels
+            lambda m, lam: _epoch_metrics(
+                m, source, target, config, epoch, metric_kind, eval_labels
             ),
             epoch,
             None,

@@ -1,13 +1,8 @@
 import numpy as np
 import pytest
 
-from meca import network, spd, trainer
-from meca.alignment import (
-    AlignmentPenalty,
-    covariance,
-    penalty_value_and_grads,
-    raw_covariance,
-)
+from meca import alignment, network, spd, trainer
+from meca.alignment import covariance, penalty_value_and_grads, raw_covariance
 from meca.errors import BadShapeError, DegenerateMatrixError, TooFewSamplesError
 from meca.spd import dist_log_euclidean
 
@@ -18,11 +13,11 @@ def one_hot(classes, k):
     return z
 
 
-def composite(trace_s, labels_s, trace_t, penalty):
-    """(total, h_source, pen_value) of the composite objective."""
+def composite(trace_s, labels_s, trace_t, lam, kind="log_euclidean"):
+    """(total, h_source, weighted pen_value) of the composite objective."""
     h = network.cross_entropy(trace_s.probs, labels_s)
-    pen, _, _ = penalty_value_and_grads(trace_s.feature_acts, trace_t.feature_acts, penalty)
-    return h + pen, h, pen
+    pen, _, _ = penalty_value_and_grads(trace_s.feature_acts, trace_t.feature_acts, kind)
+    return h + lam * pen, h, lam * pen
 
 
 class TestCovariance:
@@ -66,18 +61,11 @@ class TestCovariance:
 
 
 class TestPenaltyGradients:
-    def test_kind_none_zero(self):
-        rng = np.random.default_rng(3)
-        a_s, a_t = rng.standard_normal((3, 5)), rng.standard_normal((3, 6))
-        _, gs, gt = penalty_value_and_grads(a_s, a_t, AlignmentPenalty(kind="none", lam=0.0))
-        assert np.all(gs == 0.0) and gs.shape == (3, 5)
-        assert np.all(gt == 0.0) and gt.shape == (3, 6)
-
     @pytest.mark.parametrize("kind", ["euclidean", "log_euclidean"])
     def test_identical_batches_zero_gradient(self, kind):
         rng = np.random.default_rng(4)
         a = rng.standard_normal((3, 5))
-        _, gs, gt = penalty_value_and_grads(a, a.copy(), AlignmentPenalty(kind=kind, lam=1.0))
+        _, gs, gt = penalty_value_and_grads(a, a.copy(), kind)
         assert np.max(np.abs(gs)) < 1e-8
         assert np.max(np.abs(gt)) < 1e-8
 
@@ -91,12 +79,11 @@ class TestPenaltyGradients:
         rng = np.random.default_rng(5)
         a_s = rng.standard_normal((3, 5))
         a_t = rng.standard_normal((3, 5)) * 1.4 + 0.2
-        penalty = AlignmentPenalty(kind=kind, lam=0.37, normalize_cov=normalize)
-        value, gs, gt = penalty_value_and_grads(a_s, a_t, penalty)
+        value, gs, gt = penalty_value_and_grads(a_s, a_t, kind, normalize=normalize)
         assert value > 0.0
 
         def loss(s, t):
-            return penalty_value_and_grads(s, t, penalty)[0]
+            return penalty_value_and_grads(s, t, kind, normalize=normalize)[0]
 
         h = 1e-5
         for arr, grad, which in ((a_s, gs, "s"), (a_t, gt, "t")):
@@ -114,16 +101,25 @@ class TestPenaltyGradients:
             denom = np.maximum(np.abs(grad[mask]), np.abs(fd[mask]))
             assert np.max(np.abs(grad[mask] - fd[mask]) / denom) < 1e-4
 
-    def test_lambda_scales_gradients(self):
-        rng = np.random.default_rng(6)
-        a_s, a_t = rng.standard_normal((3, 5)), rng.standard_normal((3, 5))
-        _, g1, _ = penalty_value_and_grads(a_s, a_t, AlignmentPenalty(lam=1.0))
-        _, g2, _ = penalty_value_and_grads(a_s, a_t, AlignmentPenalty(lam=2.5))
-        assert np.allclose(g2, 2.5 * g1)
-
     def test_too_few_samples(self):
         with pytest.raises(TooFewSamplesError):
-            penalty_value_and_grads(np.ones((2, 1)), np.ones((2, 4)), AlignmentPenalty())
+            penalty_value_and_grads(np.ones((2, 1)), np.ones((2, 4)), "log_euclidean")
+
+
+class TestCenterOnce:
+    @pytest.mark.parametrize("kind", ["euclidean", "log_euclidean"])
+    def test_two_centerings_per_penalty(self, kind, monkeypatch):
+        calls = []
+
+        def counting(acts):
+            calls.append(np.shape(acts))
+            return original(acts)
+
+        original = alignment._centered
+        monkeypatch.setattr(alignment, "_centered", counting)
+        rng = np.random.default_rng(7)
+        penalty_value_and_grads(rng.standard_normal((4, 6)), rng.standard_normal((4, 5)), kind)
+        assert calls == [(4, 6), (4, 5)]
 
 
 class TestEuclideanPathNeverDecomposes:
@@ -142,10 +138,10 @@ class TestEuclideanPathNeverDecomposes:
     def test_penalty(self, eig_calls):
         rng = np.random.default_rng(8)
         a_s, a_t = rng.standard_normal((4, 6)), rng.standard_normal((4, 6))
-        penalty_value_and_grads(a_s, a_t, AlignmentPenalty(kind="euclidean", lam=1.0))
+        penalty_value_and_grads(a_s, a_t, "euclidean")
         assert eig_calls == []
         # the counter sees the decompositions of the geodesic penalty
-        penalty_value_and_grads(a_s, a_t, AlignmentPenalty(kind="log_euclidean", lam=1.0))
+        penalty_value_and_grads(a_s, a_t, "log_euclidean")
         assert eig_calls == [(4, 4), (4, 4)]
 
     def test_coral_epoch(self, eig_calls):
@@ -164,7 +160,7 @@ class TestEuclideanPathNeverDecomposes:
         a_s = np.array([[1e200, -1e200, 0.0], [0.0, 1.0, 2.0]])
         a_t = np.ones((2, 3)) + np.eye(2, 3)
         with pytest.raises(DegenerateMatrixError):
-            penalty_value_and_grads(a_s, a_t, AlignmentPenalty(kind="euclidean", lam=1.0))
+            penalty_value_and_grads(a_s, a_t, "euclidean")
         assert eig_calls == []
 
 
@@ -178,24 +174,23 @@ class TestCompositeLoss:
 
     def test_lambda_zero(self):
         tr_s, labels, tr_t = self._traces()
-        total, h, pen = composite(tr_s, labels, tr_t, AlignmentPenalty(lam=0.0))
+        total, h, pen = composite(tr_s, labels, tr_t, lam=0.0)
         assert pen == 0.0
         assert total == h
 
     def test_identical_activations(self):
         tr_s, labels, _ = self._traces()
-        total, h, pen = composite(tr_s, labels, tr_s, AlignmentPenalty(lam=0.5))
+        total, h, pen = composite(tr_s, labels, tr_s, lam=0.5)
         assert pen == pytest.approx(0.0, abs=1e-12)
         assert total == pytest.approx(h, abs=1e-12)
 
     def test_components_sum_to_total(self):
         tr_s, labels, tr_t = self._traces(seed=1)
-        penalty = AlignmentPenalty(kind="log_euclidean", lam=0.1)
-        total, h, pen = composite(tr_s, labels, tr_t, penalty)
+        total, h, pen = composite(tr_s, labels, tr_t, lam=0.1)
         assert total == pytest.approx(h + pen, rel=1e-15)
         assert h == pytest.approx(network.cross_entropy(tr_s.probs, labels))
-        cs = covariance(tr_s.feature_acts, penalty.jitter_rel)
-        ct = covariance(tr_t.feature_acts, penalty.jitter_rel)
+        cs = covariance(tr_s.feature_acts)
+        ct = covariance(tr_t.feature_acts)
         assert pen == pytest.approx(0.1 * dist_log_euclidean(cs, ct), rel=1e-12)
 
     def test_mismatched_alignment_layers(self):
@@ -205,14 +200,12 @@ class TestCompositeLoss:
         tr_t = network.forward(model, rng.standard_normal((3, 6)), 2)
         labels = one_hot([0] * 6, 3)
         with pytest.raises(BadShapeError):
-            composite(tr_s, labels, tr_t, AlignmentPenalty())
+            composite(tr_s, labels, tr_t, lam=1.0)
 
 
 class TestPenaltyConfig:
     def test_rejects_unknown_kind(self):
-        with pytest.raises(BadShapeError):
-            AlignmentPenalty(kind="hyperbolic")
-
-    def test_rejects_negative_weight(self):
-        with pytest.raises(BadShapeError):
-            AlignmentPenalty(lam=-1.0)
+        a = np.random.default_rng(10).standard_normal((3, 5))
+        for kind in ("hyperbolic", "none"):
+            with pytest.raises(BadShapeError):
+                penalty_value_and_grads(a, a, kind)

@@ -114,6 +114,20 @@ class TestTrain:
         assert run("train", "--source", str(unlabeled), "--target", str(tgt),
                    "--out-dir", str(tmp_path / "out"), *TINY_TRAIN) == 1
 
+    @pytest.mark.parametrize("method", ["meca", "entropy_reg"])
+    def test_lambda_and_gamma_are_one_option(self, tmp_path, method):
+        src, tgt = gen_pair(tmp_path)
+        for name, flags in (("lambda", ["--lambda", "2"]), ("gamma", ["--gamma", "2"]),
+                            ("both", ["--gamma", "50", "--lambda", "2"])):
+            assert run("train", "--method", method, *flags, "--source", str(src),
+                       "--target", str(tgt), "--out-dir", str(tmp_path / name),
+                       *TINY_TRAIN) == 0
+            manifest = json.loads((tmp_path / name / "manifest.json").read_text())
+            assert manifest["config"]["lambda_or_gamma"] == 2.0
+        for name in ("gamma", "both"):
+            assert ((tmp_path / name / "metrics.csv").read_bytes()
+                    == (tmp_path / "lambda" / "metrics.csv").read_bytes())
+
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_divergence_exit_code(self, tmp_path, capsys):
         src, tgt = gen_pair(tmp_path)
@@ -139,6 +153,14 @@ class TestSweep:
         assert lines[0] == "lambda,final_e_target,final_target_acc,selected"
         assert len(lines) == 2
         assert lines[1].endswith(",1")
+
+    @pytest.mark.parametrize("flag", ["--lambda", "--gamma"])
+    def test_weight_flag_is_usage_error(self, tmp_path, flag):
+        # the grid is the only weight a sweep takes
+        src, tgt = gen_pair(tmp_path)
+        assert run("sweep", "--grid", "0.5,2", flag, "99",
+                   "--source", str(src), "--target", str(tgt),
+                   "--out-dir", str(tmp_path / "weight"), *TINY_TRAIN) == 1
 
     def test_jobs_is_usage_error(self, tmp_path):
         # the grid trains as one lockstep run; there are no workers to set
@@ -179,9 +201,9 @@ class TestVerify:
     def test_subset_passes(self):
         assert run("verify", "--checks", "metric_axioms,entropy_not_sufficient") == 0
 
+    @pytest.mark.usefixtures("corrupted_gradients")
     def test_corrupted_gradient_detected(self):
-        assert run("verify", "--checks", "gradients",
-                   "--corrupt-gradient", "0.05") == 2
+        assert run("verify", "--checks", "gradients") == 2
 
     def test_unknown_check_is_usage_error(self):
         assert run("verify", "--checks", "nonsense") == 1

@@ -15,7 +15,17 @@ from meca.selection import (
     sweep,
     write_sweep_csv,
 )
-from meca.trainer import EpochMetrics, TrainConfig, TrainRunResult, train_run, write_metrics_csv
+from meca.trainer import (
+    NON_FINITE_LOSS,
+    Divergence,
+    EpochMetrics,
+    TrainConfig,
+    TrainRunResult,
+    train_run,
+    write_metrics_csv,
+)
+
+DIVERGED = Divergence(epoch=1, step=1, cause=NON_FINITE_LOSS)
 
 
 def fake_metrics(e_targets, accs):
@@ -31,7 +41,7 @@ def stub_train_run(entropy_by_lambda, acc_by_lambda):
         lam = config.lambda_or_gamma
         e = entropy_by_lambda[lam]
         a = acc_by_lambda[lam]
-        return TrainRunResult(model, fake_metrics([e] * 6, [a] * 6), diverged=False)
+        return TrainRunResult(model, fake_metrics([e] * 6, [a] * 6))
 
     return fake
 
@@ -112,7 +122,7 @@ class TestSelectionRule:
         def fake(model, source, target, config, eval_labels=None):
             lam = config.lambda_or_gamma
             if lam == 1.0:
-                return TrainRunResult(model, fake_metrics([0.001], [0.9]), diverged=True)
+                return TrainRunResult(model, fake_metrics([0.001], [0.9]), DIVERGED)
             return TrainRunResult(model, fake_metrics([5.0] * 6, [0.7] * 6))
 
         patch_runs(monkeypatch, fake)
@@ -124,7 +134,7 @@ class TestSelectionRule:
         config, source, target, model, _ = tiny_setup()
 
         def fake(model, source, target, config, eval_labels=None):
-            return TrainRunResult(model, [], diverged=True)
+            return TrainRunResult(model, [], DIVERGED)
 
         patch_runs(monkeypatch, fake)
         with pytest.raises(InsufficientRecordsError):
@@ -160,7 +170,7 @@ class TestSelectionGap:
         assert selection_gap(result) == pytest.approx(0.3)
 
     def test_needs_two_successful_records(self):
-        records = [SweepRecord(0.1, 2.0, 0.6), SweepRecord(1.0, 3.0, 0.9, failed=True)]
+        records = [SweepRecord(0.1, 2.0, 0.6), SweepRecord(1.0, 3.0, 0.9, divergence=DIVERGED)]
         result = SweepResult(records, selected_lambda=0.1)
         with pytest.raises(InsufficientRecordsError):
             selection_gap(result)

@@ -144,7 +144,8 @@ class TestSymEig:
 
 class TestStacks:
     """A stack of matrices (one per training lane) along axis 0 gets, matrix
-    by matrix, the bits each matrix gets alone, and errors name the lanes."""
+    by matrix, the bits each matrix gets alone, and one failed matrix fails
+    the stack."""
 
     def stack(self, dim=6, lanes=5):
         rng = np.random.default_rng(21)
@@ -175,46 +176,31 @@ class TestStacks:
             assert gs[i].tobytes() == g1.tobytes() and gt[i].tobytes() == g2.tobytes()
             assert spd.add_jitter(cs_stack)[i].tobytes() == spd.add_jitter(cs_stack[i]).tobytes()
 
-    def test_errors_name_the_lanes(self):
+    def test_a_failed_matrix_fails_the_stack(self):
         stack = self.stack(dim=3, lanes=4)
         non_finite = stack.copy()
         non_finite[2, 0, 0] = np.nan
-        with pytest.raises(DegenerateMatrixError) as exc:
+        with pytest.raises(DegenerateMatrixError):
             spd.add_jitter(non_finite)
-        assert exc.value.lanes == (2,)
-        with pytest.raises(DegenerateMatrixError) as exc:
+        with pytest.raises(DegenerateMatrixError):
             sym_eig(non_finite)
-        assert exc.value.lanes == (2,)
         indefinite = stack.copy()
         indefinite[1] = np.diag([1.0, 1.0, -1.0])
         indefinite[3] = np.diag([1.0, 0.0, 0.0])
-        with pytest.raises(DegenerateMatrixError) as exc:
+        with pytest.raises(DegenerateMatrixError):
             spd.SpdMatrix(indefinite).eigvals
-        assert exc.value.lanes == (1, 3)
         asymmetric = stack.copy()
         asymmetric[0, 0, 1] += 1.0
-        with pytest.raises(NonSymmetricError) as exc:
+        with pytest.raises(NonSymmetricError):
             sym_eig(asymmetric)
-        assert exc.value.lanes == (0,)
-        with pytest.raises(DegenerateMatrixError) as exc:
+        # each matrix is held to its own scale, not to the largest of the stack
+        mixed = stack.copy()
+        mixed[0] *= 1e6
+        mixed[1, 0, 1] += 1e-8 * np.abs(stack[1]).max()
+        with pytest.raises(NonSymmetricError):
+            sym_eig(mixed)
+        with pytest.raises(DegenerateMatrixError):
             sym_eig(non_finite[2])
-        assert exc.value.lanes is None
-
-    def test_lapack_failure_names_the_lane(self, monkeypatch):
-        real_eigh = np.linalg.eigh
-
-        def eigh(m):
-            # fails on any input holding the poisoned matrix
-            if np.any(m[..., 0, 0] == 7.0):
-                raise np.linalg.LinAlgError("Eigenvalues did not converge")
-            return real_eigh(m)
-
-        stack = self.stack(dim=3, lanes=3)
-        stack[1, 0, 0] = 7.0
-        monkeypatch.setattr(spd.np.linalg, "eigh", eigh)
-        with pytest.raises(NoConvergenceError) as exc:
-            sym_eig(stack)
-        assert exc.value.lanes == (1,)
 
 
 class TestMakeSpd:

@@ -4,7 +4,12 @@ import numpy as np
 import pytest
 
 from meca import data, network, trainer
-from meca.errors import BadShapeError, ConfigInvalidError, TooFewSamplesError
+from meca.errors import (
+    BadShapeError,
+    ConfigInvalidError,
+    NoConvergenceError,
+    TooFewSamplesError,
+)
 from meca.network import LabeledBatch, UnlabeledBatch, init_model
 from meca.trainer import (
     METRICS_HEADER,
@@ -316,6 +321,37 @@ class TestLockstep:
         assert lanes[1].metrics == [] and not lanes[0].diverged and not lanes[2].diverged
         for w0, w1 in zip(model.weights, lanes[1].model.weights):
             assert np.array_equal(w0, w1)  # frozen before its first step
+
+    def test_lane_failing_alone_retires_with_its_cause(self, tmp_path, monkeypatch):
+        real = trainer._lane_grads
+
+        def lane_grads(model, lambdas, *args):
+            if 1.0 in lambdas:  # the lane at lambda 1 fails, in a stack or alone
+                raise NoConvergenceError("Eigenvalues did not converge")
+            return real(model, lambdas, *args)
+
+        monkeypatch.setattr(trainer, "_lane_grads", lane_grads)
+        config = quick_config(epochs=2, batch_size=16)
+        lanes = self.check_lanes(tmp_path, config, [0.1, 1.0, 5.0], (8, 5), "tanh")
+        assert lanes[1].divergence == Divergence(epoch=1, step=1, cause="NoConvergenceError")
+        assert [len(r.metrics) for r in lanes] == [2, 0, 2]
+
+    def test_stack_failing_with_no_lane_failing_alone_ends_all(self, monkeypatch):
+        real = trainer._lane_grads
+
+        def lane_grads(model, lambdas, *args):
+            if len(lambdas) > 1:
+                raise NoConvergenceError("Eigenvalues did not converge")
+            return real(model, lambdas, *args)
+
+        monkeypatch.setattr(trainer, "_lane_grads", lane_grads)
+        source_ds, target_ds = small_domains()
+        model = init_model([4, 6, 3], seed=0)
+        lanes = train_lanes(model, source_ds.as_labeled_batch(),
+                            target_ds.as_unlabeled_batch(), quick_config(), [0.1, 0.5, 2.0])
+        for lane in lanes:
+            assert lane.divergence == Divergence(epoch=1, step=1, cause="NoConvergenceError")
+            assert lane.metrics == []
 
     def test_stacked_reductions_match_slices(self):
         # the numpy kernels a lane stack runs through: reductions along

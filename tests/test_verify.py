@@ -9,8 +9,9 @@ class TestGradientSuite:
         result = verify.check_gradients(n_seeds=3)
         assert result.passed, result.detail
 
+    @pytest.mark.usefixtures("corrupted_gradients")
     def test_detects_corruption(self):
-        result = verify.check_gradients(n_seeds=1, corrupt_gradient=0.05)
+        result = verify.check_gradients(n_seeds=1)
         assert not result.passed
 
     def test_fd_helper_on_quadratic(self):
