@@ -3,7 +3,12 @@ import pytest
 
 from meca import alignment, network, spd, trainer
 from meca.alignment import covariance, penalty_value_and_grads, raw_covariance
-from meca.errors import BadShapeError, DegenerateMatrixError, TooFewSamplesError
+from meca.errors import (
+    BadShapeError,
+    ConfigInvalidError,
+    DegenerateMatrixError,
+    TooFewSamplesError,
+)
 from meca.spd import dist_log_euclidean
 
 
@@ -60,7 +65,25 @@ class TestCovariance:
             covariance(np.ones((3, 1)))
 
 
+def lane_grads(method, lambdas, seed=6):
+    """trainer._lane_grads of one mini-batch pair, one lane per weight."""
+    rng = np.random.default_rng(seed)
+    model = network.init_model([3, 5, 4, 3], seed=seed)
+    xs, xt = rng.standard_normal((3, 6)), rng.standard_normal((3, 6))
+    zs = one_hot(rng.integers(0, 3, size=6), 3)
+    lambdas = np.array(lambdas)
+    stacked = trainer._Lanes(model, lambdas).model
+    return trainer._lane_grads(stacked, lambdas, xs, zs, xt, trainer.TrainConfig(method=method))
+
+
 class TestPenaltyGradients:
+    def test_kind_none_zero(self):
+        # a method without an alignment penalty gets no penalty gradient,
+        # whatever its weight
+        grads = lane_grads("source_only", [0.0, 1.0, 2.5])
+        for g in grads.weights + grads.biases:
+            assert g[1].tobytes() == g[0].tobytes() and g[2].tobytes() == g[0].tobytes()
+
     @pytest.mark.parametrize("kind", ["euclidean", "log_euclidean"])
     def test_identical_batches_zero_gradient(self, kind):
         rng = np.random.default_rng(4)
@@ -100,6 +123,16 @@ class TestPenaltyGradients:
             mask = np.abs(grad) > 1e-8
             denom = np.maximum(np.abs(grad[mask]), np.abs(fd[mask]))
             assert np.max(np.abs(grad[mask] - fd[mask]) / denom) < 1e-4
+
+    def test_lambda_scales_gradients(self):
+        # the trainer weights the unweighted penalty gradient by each lane's
+        # lambda; the layers below the alignment layer feel it
+        for method in ("coral_euclidean", "meca_geodesic"):
+            grads = lane_grads(method, [0.0, 1.0, 2.5])
+            assert np.max(np.abs(grads.weights[0][1] - grads.weights[0][0])) > 0.0
+            for g in grads.weights + grads.biases:
+                pen = g[1] - g[0]
+                assert np.allclose(g[2] - g[0], 2.5 * pen, rtol=1e-9, atol=1e-12)
 
     def test_too_few_samples(self):
         with pytest.raises(TooFewSamplesError):
@@ -209,3 +242,15 @@ class TestPenaltyConfig:
         for kind in ("hyperbolic", "none"):
             with pytest.raises(BadShapeError):
                 penalty_value_and_grads(a, a, kind)
+
+    def test_rejects_negative_weight(self):
+        # the weight lives in the trainer, which checks it before any step
+        with pytest.raises(ConfigInvalidError):
+            trainer.TrainConfig(lambda_or_gamma=-1.0).validate()
+        rng = np.random.default_rng(11)
+        labels = one_hot([0, 1, 2, 0, 1, 2, 0, 1], 3)
+        source = network.LabeledBatch(rng.standard_normal((3, 8)), labels)
+        target = network.UnlabeledBatch(rng.standard_normal((3, 8)))
+        with pytest.raises(ConfigInvalidError):
+            trainer.train_lanes(network.init_model([3, 4, 3], seed=0), source, target,
+                                trainer.TrainConfig(epochs=1, batch_size=4), [0.5, -1.0])

@@ -176,7 +176,9 @@ class TestStacks:
             assert gs[i].tobytes() == g1.tobytes() and gt[i].tobytes() == g2.tobytes()
             assert spd.add_jitter(cs_stack)[i].tobytes() == spd.add_jitter(cs_stack[i]).tobytes()
 
-    def test_a_failed_matrix_fails_the_stack(self):
+    def test_errors_name_the_lanes(self):
+        # the error names no lane: the trainer finds the failing lanes by
+        # computing each one alone
         stack = self.stack(dim=3, lanes=4)
         non_finite = stack.copy()
         non_finite[2, 0, 0] = np.nan
@@ -201,6 +203,25 @@ class TestStacks:
             sym_eig(mixed)
         with pytest.raises(DegenerateMatrixError):
             sym_eig(non_finite[2])
+
+    def test_lapack_failure_names_the_lane(self, monkeypatch):
+        # a LAPACK failure on one matrix fails the whole stack; the lane is
+        # named by the trainer (TestLockstep in test_trainer.py)
+        real_eigh = np.linalg.eigh
+
+        def eigh(m):
+            # fails on any input holding the poisoned matrix
+            if np.any(m[..., 0, 0] == 7.0):
+                raise np.linalg.LinAlgError("Eigenvalues did not converge")
+            return real_eigh(m)
+
+        stack = self.stack(dim=3, lanes=3)
+        stack[1, 0, 0] = 7.0
+        monkeypatch.setattr(spd.np.linalg, "eigh", eigh)
+        with pytest.raises(NoConvergenceError):
+            sym_eig(stack)
+        for i in (0, 2):
+            sym_eig(stack[i])  # the other matrices decompose alone
 
 
 class TestMakeSpd:
