@@ -23,6 +23,8 @@ EXIT_USAGE = 1
 EXIT_NUMERICAL = 2
 EXIT_IO = 3
 
+DEFAULT_WEIGHT = 0.1  # --lambda/--gamma of the three weighted methods
+
 CLI_METHODS = {
     "source_only": "source_only",
     "entropy_reg": "entropy_reg",
@@ -48,8 +50,8 @@ def _csv_ints(text: str) -> list[int]:
 
 def _add_train_options(p: argparse.ArgumentParser):
     p.add_argument("--epochs", type=int, default=100)
-    p.add_argument("--batch-size", type=int, default=128)
-    p.add_argument("--lr", type=float, default=0.01)
+    p.add_argument("--batch-size", type=int, default=16)
+    p.add_argument("--lr", type=float, default=5e-4)
     p.add_argument("--momentum", type=float, default=0.9)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--hidden", type=_csv_ints, default=[32, 32],
@@ -77,9 +79,10 @@ def build_parser() -> _Parser:
 
     p_train = sub.add_parser("train", help="train one configuration")
     p_train.add_argument("--method", choices=sorted(CLI_METHODS), default="meca")
-    p_train.add_argument("--lambda", "--gamma", dest="weight", type=float, default=0.1,
+    p_train.add_argument("--lambda", "--gamma", dest="weight", type=float, default=None,
                          help="weight of the alignment penalty (coral, meca) or of the "
-                              "target entropy (entropy_reg); the two spellings are one option")
+                              "target entropy (entropy_reg), default 0.1; the two spellings "
+                              "are one option; source_only takes none (or 0)")
     _add_train_options(p_train)
 
     p_sweep = sub.add_parser("sweep", help="train across a lambda grid and select by target entropy")
@@ -102,12 +105,6 @@ def build_parser() -> _Parser:
     return parser
 
 
-def _write_manifest(out_dir: Path, payload: dict) -> None:
-    with open(out_dir / "manifest.json", "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
 def _build_info() -> dict:
     """The numpy and LAPACK build that byte-identical reruns hold for."""
     try:
@@ -126,19 +123,31 @@ def _describe(divergence: trainer.Divergence) -> str:
     return f"epoch {divergence.epoch}, {where}: {divergence.cause}"
 
 
-def _load_domain_pair(args):
+@dataclasses.dataclass
+class _Run:
+    """What train and sweep share: the output directory, the data, the
+    configuration and the initial model."""
+
+    start: float
+    out_dir: Path
+    source: network.LabeledBatch
+    target: network.UnlabeledBatch
+    eval_labels: np.ndarray | None
+    config: trainer.TrainConfig
+    sizes: list[int]
+    model: network.MlpModel
+
+
+def _set_up(args, weight: float) -> _Run:
+    start = time.perf_counter()
+    out_dir = Path(args.out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
     source_ds = data.read_csv(args.source)
     if source_ds.labels is None:
         raise ConfigInvalidError(f"source file {args.source} has no labels")
     target_ds = data.read_csv(args.target)
-    source = source_ds.as_labeled_batch()
-    target = target_ds.as_unlabeled_batch()
-    return source, target, target_ds.labels
-
-
-def _make_config(args, method: str, weight: float) -> trainer.TrainConfig:
-    return trainer.TrainConfig(
-        method=method,
+    config = trainer.TrainConfig(
+        method=CLI_METHODS[args.method],
         lambda_or_gamma=weight,
         epochs=args.epochs,
         batch_size=args.batch_size,
@@ -149,6 +158,28 @@ def _make_config(args, method: str, weight: float) -> trainer.TrainConfig:
         jitter_rel=args.jitter,
         normalize_cov=args.normalize_cov,
     )
+    sizes = [source_ds.dim] + list(args.hidden) + [source_ds.labels.shape[1]]
+    model = network.init_model(sizes, seed=args.seed, hidden_activation=args.activation)
+    return _Run(start, out_dir, source_ds.as_labeled_batch(), target_ds.as_unlabeled_batch(),
+                target_ds.labels, config, sizes, model)
+
+
+def _write_manifest(run: _Run, args, argv: list[str], weight: float | None, **entries) -> None:
+    """manifest.json: the keys train and sweep share, then the command's own."""
+    manifest = {
+        "command": args.command,
+        "argv": argv,
+        "build": _build_info(),
+        "config": {**dataclasses.asdict(run.config), "lambda_or_gamma": weight},
+        "layer_sizes": run.sizes,
+        "hidden_activation": args.activation,
+        **entries,
+        "wall_clock_seconds": time.perf_counter() - run.start,
+        "version": __version__,
+    }
+    with open(run.out_dir / "manifest.json", "w", encoding="utf-8") as fh:
+        json.dump(manifest, fh, indent=2, sort_keys=True)
+        fh.write("\n")
 
 
 def cmd_gen(args) -> int:
@@ -164,38 +195,29 @@ def cmd_gen(args) -> int:
     return EXIT_OK
 
 
+def _train_weight(args) -> float:
+    """--lambda/--gamma, defaulting to 0.1, or to 0 for source_only, which has
+    nothing to weight."""
+    if args.method != "source_only":
+        return DEFAULT_WEIGHT if args.weight is None else args.weight
+    if args.weight:
+        raise ConfigInvalidError(f"source_only takes no weight, got {args.weight:g}")
+    return 0.0
+
+
 def cmd_train(args, argv: list[str]) -> int:
-    start = time.perf_counter()
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    source, target, eval_labels = _load_domain_pair(args)
-
-    method = CLI_METHODS[args.method]
-    config = _make_config(args, method, args.weight)
-    k = source.labels.shape[1]
-    sizes = [source.inputs.shape[0]] + list(args.hidden) + [k]
-    model = network.init_model(sizes, seed=args.seed, hidden_activation=args.activation)
-
-    result = trainer.train_run(model, source, target, config, eval_labels)
-    metrics_path = out_dir / "metrics.csv"
-    model_path = out_dir / "model.bin"
+    weight = _train_weight(args)
+    run = _set_up(args, weight)
+    result = trainer.train_run(run.model, run.source, run.target, run.config, run.eval_labels)
+    metrics_path = run.out_dir / "metrics.csv"
+    model_path = run.out_dir / "model.bin"
     trainer.write_metrics_csv(result.metrics, metrics_path)
     network.save_model(result.model, model_path)
     _write_manifest(
-        out_dir,
-        {
-            "command": "train",
-            "argv": argv,
-            "build": _build_info(),
-            "config": dataclasses.asdict(config),
-            "layer_sizes": sizes,
-            "hidden_activation": args.activation,
-            "artifacts": {"metrics_csv": str(metrics_path), "model_bin": str(model_path)},
-            "diverged": result.diverged,
-            "divergence": _divergence(result.divergence),
-            "wall_clock_seconds": time.perf_counter() - start,
-            "version": __version__,
-        },
+        run, args, argv, weight,
+        artifacts={"metrics_csv": str(metrics_path), "model_bin": str(model_path)},
+        diverged=result.diverged,
+        divergence=_divergence(result.divergence),
     )
     if result.diverged:
         print(
@@ -213,47 +235,28 @@ def cmd_train(args, argv: list[str]) -> int:
 
 
 def cmd_sweep(args, argv: list[str]) -> int:
-    start = time.perf_counter()
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    source, target, eval_labels = _load_domain_pair(args)
-
-    method = CLI_METHODS[args.method]
-    config = _make_config(args, method, args.grid[0] if args.grid else 1.0)
-    k = source.labels.shape[1]
-    sizes = [source.inputs.shape[0]] + list(args.hidden) + [k]
-    model = network.init_model(sizes, seed=args.seed, hidden_activation=args.activation)
-
+    # the lanes take their weights from the grid; the base weight is unused
+    run = _set_up(args, 0.0)
     result = selection.sweep(
-        config,
+        run.config,
         args.grid,
-        source,
-        target,
-        model,
-        eval_labels=eval_labels,
-        out_dir=out_dir,
+        run.source,
+        run.target,
+        run.model,
+        eval_labels=run.eval_labels,
+        out_dir=run.out_dir,
     )
-    summary_path = out_dir / "sweep_summary.csv"
+    summary_path = run.out_dir / "sweep_summary.csv"
     selection.write_sweep_csv(result, summary_path)
     _write_manifest(
-        out_dir,
-        {
-            "command": "sweep",
-            "argv": argv,
-            "build": _build_info(),
-            "config": dataclasses.asdict(config),
-            "grid": [r.lam for r in result.records],
-            "layer_sizes": sizes,
-            "hidden_activation": args.activation,
-            "artifacts": {
-                "sweep_summary_csv": str(summary_path),
-                "metrics_csvs": [r.metrics_path for r in result.records],
-            },
-            "divergence": [_divergence(r.divergence) for r in result.records],
-            "selected_lambda": result.selected_lambda,
-            "wall_clock_seconds": time.perf_counter() - start,
-            "version": __version__,
+        run, args, argv, None,
+        grid=[r.lam for r in result.records],
+        artifacts={
+            "sweep_summary_csv": str(summary_path),
+            "metrics_csvs": [r.metrics_path for r in result.records],
         },
+        divergence=[_divergence(r.divergence) for r in result.records],
+        selected_lambda=result.selected_lambda,
     )
     print(f"selected lambda: {result.selected_lambda:g}  (rule: {result.selection_rule})")
     try:

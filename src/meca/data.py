@@ -5,7 +5,6 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -24,6 +23,12 @@ IDX_LABEL_MAGIC = 0x00000801
 
 BLOB_RADIUS = 4.0
 
+# printf format of every float meca writes to a CSV: 17 significant digits
+# read back to the same float64
+FLOAT_FORMAT = "%.17g"
+# largest class index a dataset CSV may hold; it bounds the one-hot matrix
+MAX_LABEL = 999
+
 
 @dataclass
 class Dataset:
@@ -31,7 +36,6 @@ class Dataset:
 
     inputs: np.ndarray            # (d0, n)
     labels: np.ndarray | None     # (n, K) one-hot, or None
-    domain_tag: str = ""
 
     @property
     def n(self) -> int:
@@ -43,7 +47,7 @@ class Dataset:
 
     def as_labeled_batch(self) -> LabeledBatch:
         if self.labels is None:
-            raise BadParamsError(f"dataset {self.domain_tag!r} has no labels")
+            raise BadParamsError("dataset has no labels")
         return LabeledBatch(self.inputs, self.labels)
 
     def as_unlabeled_batch(self) -> UnlabeledBatch:
@@ -101,7 +105,7 @@ def gen_blobs(k_classes: int, per_class: int, dim: int, seed: int) -> Dataset:
     means[0] = BLOB_RADIUS * np.cos(angles)
     means[1] = BLOB_RADIUS * np.sin(angles)
     inputs = means + rng.standard_normal((dim, n))
-    return Dataset(inputs, one_hot(classes, k_classes), domain_tag="blobs")
+    return Dataset(inputs, one_hot(classes, k_classes))
 
 
 def gen_moons(per_class: int, dim: int, seed: int) -> Dataset:
@@ -126,7 +130,7 @@ def gen_moons(per_class: int, dim: int, seed: int) -> Dataset:
     inputs[1] = y + 0.3 * rng.standard_normal(per_class * 2)
     if dim > 2:
         inputs[2:] = rng.standard_normal((dim - 2, per_class * 2))
-    return Dataset(inputs, one_hot(classes, 2), domain_tag="moons")
+    return Dataset(inputs, one_hot(classes, 2))
 
 
 def apply_shift(ds: Dataset, spec: ShiftSpec, seed: int) -> Dataset:
@@ -158,7 +162,7 @@ def apply_shift(ds: Dataset, spec: ShiftSpec, seed: int) -> Dataset:
         rng = np.random.default_rng(seed)
         inputs = inputs + spec.noise_sigma * rng.standard_normal(inputs.shape)
     labels = None if ds.labels is None else ds.labels.copy()
-    return Dataset(inputs, labels, domain_tag=ds.domain_tag + "+shift")
+    return Dataset(inputs, labels)
 
 
 def rotated_blobs_benchmark(
@@ -168,22 +172,16 @@ def rotated_blobs_benchmark(
     rotated, scaled, translated, renoised target domain.
     """
     source = gen_blobs(k_classes, per_class, dim, seed)
-    source.domain_tag = "source"
     base = gen_blobs(k_classes, per_class, dim, seed + 1)
-    target = apply_shift(base, ROTATED_BLOBS_SHIFT, seed + 2)
-    target.domain_tag = "target"
-    return source, target
+    return source, apply_shift(base, ROTATED_BLOBS_SHIFT, seed + 2)
 
 
 def moons_benchmark(
     seed: int, per_class: int = 250, dim: int = 8
 ) -> tuple[Dataset, Dataset]:
     source = gen_moons(per_class, dim, seed)
-    source.domain_tag = "source"
     base = gen_moons(per_class, dim, seed + 1)
-    target = apply_shift(base, MOONS_SHIFT, seed + 2)
-    target.domain_tag = "target"
-    return source, target
+    return source, apply_shift(base, MOONS_SHIFT, seed + 2)
 
 
 def _read_be_u32(blob: bytes, offset: int, path) -> int:
@@ -233,63 +231,62 @@ def read_idx(images_path, labels_path=None) -> Dataset:
             )
         raw = np.frombuffer(lblob, dtype=np.uint8, count=lcount, offset=8)
         labels = one_hot(raw.astype(np.int64), int(raw.max()) + 1)
-    return Dataset(inputs, labels, domain_tag="idx")
+    return Dataset(inputs, labels)
 
 
-def format_float(x: float) -> str:
-    """17 significant digits: enough for any float64 to read back exactly."""
-    return format(float(x), ".17g")
+def write_rows(path, header: str, rows, fmt: list[str]) -> None:
+    """One header line, then each row's values, comma-separated, by ``fmt``."""
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        np.savetxt(fh, np.reshape(rows, (-1, len(fmt))), fmt=fmt, delimiter=",",
+                   header=header, comments="")
 
 
 def write_csv(ds: Dataset, path) -> None:
     """Header f0..f{d-1},label; label is the class index, -1 when absent;
     floats printed with 17 significant digits so the round trip is exact.
     """
-    classes = (
-        np.full(ds.n, -1, dtype=np.int64)
-        if ds.labels is None
-        else np.argmax(ds.labels, axis=1)
-    )
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join([f"f{i}" for i in range(ds.dim)] + ["label"]) + "\n")
-        for j in range(ds.n):
-            row = [format_float(v) for v in ds.inputs[:, j]]
-            row.append(str(int(classes[j])))
-            fh.write(",".join(row) + "\n")
+    classes = np.full(ds.n, -1) if ds.labels is None else np.argmax(ds.labels, axis=1)
+    header = ",".join([f"f{i}" for i in range(ds.dim)] + ["label"])
+    write_rows(path, header, np.column_stack([ds.inputs.T, classes]),
+               [FLOAT_FORMAT] * ds.dim + ["%d"])
 
 
 def read_csv(path) -> Dataset:
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = [ln.rstrip("\n") for ln in fh if ln.strip()]
+    """Read a UTF-8 dataset CSV as write_csv writes it.  A label is a class
+    index in [-1, MAX_LABEL], -1 on every row when the file is unlabeled.
+    Any malformed file raises ParseError, a header-only one EmptyDatasetError.
+    """
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = [ln for ln in fh if ln.strip()]
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8: {exc}") from None
     if not lines:
         raise ParseError(f"{path}: empty file")
-    header = lines[0].split(",")
-    if len(header) < 2 or header[-1] != "label":
-        raise ParseError(f"{path}: expected header f0..f{{d-1}},label")
+    header = lines[0].rstrip("\n").split(",")
     dim = len(header) - 1
-    if header[:dim] != [f"f{i}" for i in range(dim)]:
-        raise ParseError(f"{path}: unexpected feature column names")
-    n = len(lines) - 1
-    if n == 0:
+    if dim < 1 or header != [f"f{i}" for i in range(dim)] + ["label"]:
+        raise ParseError(f"{path}: expected header f0..f{{d-1}},label")
+    if len(lines) == 1:
         raise EmptyDatasetError(f"{path}: no data rows")
-    inputs = np.empty((dim, n))
-    classes = np.empty(n, dtype=np.int64)
-    for j, line in enumerate(lines[1:]):
-        parts = line.split(",")
-        if len(parts) != dim + 1:
-            raise ParseError(f"{path}: row {j + 1} has {len(parts)} fields, expected {dim + 1}")
-        try:
-            inputs[:, j] = [float(p) for p in parts[:dim]]
-            label = float(parts[dim])
-        except ValueError as exc:
-            raise ParseError(f"{path}: row {j + 1}: {exc}") from None
-        if label != int(label):
-            raise ParseError(f"{path}: row {j + 1}: non-integer label {parts[dim]}")
-        classes[j] = int(label)
+    try:
+        table = np.loadtxt(lines[1:], delimiter=",", comments=None, ndmin=2)
+    except ValueError as exc:
+        raise ParseError(f"{path}: {exc}") from None
+    if table.shape[1] != dim + 1:
+        raise ParseError(f"{path}: rows have {table.shape[1]} fields, expected {dim + 1}")
+    label = table[:, dim]
+    bad = ~((label == np.round(label)) & (label >= -1) & (label <= MAX_LABEL))
+    if bad.any():
+        j = int(np.argmax(bad))
+        raise ParseError(
+            f"{path}: row {j + 1}: label {float(label[j])} is not a class index in [-1, {MAX_LABEL}]"
+        )
+    classes = label.astype(np.int64)
     if np.all(classes == -1):
         labels = None
     elif np.any(classes < 0):
         raise ParseError(f"{path}: mix of labeled and unlabeled rows")
     else:
         labels = one_hot(classes, int(classes.max()) + 1)
-    return Dataset(inputs, labels, domain_tag=Path(path).stem)
+    return Dataset(np.ascontiguousarray(table[:, :dim].T), labels)

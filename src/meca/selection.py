@@ -11,7 +11,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import format_float
+from .data import FLOAT_FORMAT, write_rows
 from .errors import ConfigInvalidError, InsufficientRecordsError
 from .network import LabeledBatch, MlpModel, UnlabeledBatch
 from .trainer import Divergence, EpochMetrics, TrainConfig, train_lanes, write_metrics_csv
@@ -134,14 +134,8 @@ def selection_gap(result: SweepResult) -> float:
 
 
 def write_sweep_csv(result: SweepResult, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(SWEEP_HEADER + "\n")
-        for r in result.records:
-            selected = int(r.lam == result.selected_lambda)
-            fh.write(
-                ",".join(
-                    [format_float(v) for v in (r.lam, r.final_e_target, r.final_target_acc)]
-                    + [str(selected)]
-                )
-                + "\n"
-            )
+    rows = [
+        (r.lam, r.final_e_target, r.final_target_acc, r.lam == result.selected_lambda)
+        for r in result.records
+    ]
+    write_rows(path, SWEEP_HEADER, rows, [FLOAT_FORMAT] * 3 + ["%d"])

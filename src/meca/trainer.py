@@ -20,7 +20,7 @@ import numpy as np
 
 from . import network
 from .alignment import covariance, penalty_distance, penalty_value_and_grads
-from .data import format_float
+from .data import FLOAT_FORMAT, write_rows
 from .errors import (
     BadShapeError,
     ConfigInvalidError,
@@ -399,8 +399,8 @@ def train_run(
 
 def write_metrics_csv(metrics: list[EpochMetrics], path) -> None:
     """One row per epoch, floats with 17 significant digits."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(METRICS_HEADER + "\n")
-        for m in metrics:
-            fields = (m.h_source, m.e_target, m.pen_value, m.target_accuracy, m.kl_st)
-            fh.write(",".join([str(m.epoch)] + [format_float(v) for v in fields]) + "\n")
+    rows = [
+        (m.epoch, m.h_source, m.e_target, m.pen_value, m.target_accuracy, m.kl_st)
+        for m in metrics
+    ]
+    write_rows(path, METRICS_HEADER, rows, ["%d"] + [FLOAT_FORMAT] * 5)

@@ -1,8 +1,28 @@
+import os
 import sys
+import tempfile
 
 import pytest
 
 from meca import verify
+
+try:
+    from hypothesis import settings
+except ImportError:  # the property tests skip themselves
+    pass
+else:
+    # the same examples on every run, and no example database on disk
+    settings.register_profile("meca", derandomize=True, database=None, deadline=None)
+    settings.load_profile("meca")
+
+# Hypothesis caches what it reads of the source, from collection on, under its
+# storage directory (./.hypothesis by default); keep that out of the tree
+_HYPOTHESIS_DIR = tempfile.TemporaryDirectory(prefix="meca-hypothesis-")
+os.environ.setdefault("HYPOTHESIS_STORAGE_DIRECTORY", _HYPOTHESIS_DIR.name)
+
+
+def pytest_unconfigure(config):
+    _HYPOTHESIS_DIR.cleanup()
 
 
 @pytest.fixture

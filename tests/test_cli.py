@@ -105,6 +105,36 @@ class TestTrain:
                    "--out-dir", str(tmp_path / "out"), *TINY_TRAIN) == 3
         assert "no data rows" in capsys.readouterr().err
 
+    def test_nan_target_label_is_io_error(self, tmp_path, capsys):
+        src, tgt = gen_pair(tmp_path)
+        rows = tgt.read_text().splitlines()
+        rows[2] = ",".join(rows[2].split(",")[:-1] + ["nan"])
+        bad = tmp_path / "nan.csv"
+        bad.write_text("\n".join(rows) + "\n")
+        assert run("train", "--source", str(src), "--target", str(bad),
+                   "--out-dir", str(tmp_path / "out"), *TINY_TRAIN) == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"meca: {bad}: ") and err.count("\n") == 1
+
+    def test_default_flags_train_coral(self, tmp_path):
+        # the default --lr and --batch-size; at 0.01 and 128 coral overflows at epoch 2
+        src, tgt = gen_pair(tmp_path, per_class=125)
+        assert run("train", "--method", "coral", "--epochs", "3", "--source", str(src),
+                   "--target", str(tgt), "--out-dir", str(tmp_path / "out")) == 0
+
+    def test_source_only_takes_no_weight(self, tmp_path):
+        src, tgt = gen_pair(tmp_path)
+        for flag in ("--lambda", "--gamma"):
+            assert run("train", "--method", "source_only", flag, "50", "--source", str(src),
+                       "--target", str(tgt), "--out-dir", str(tmp_path / "w"),
+                       *TINY_TRAIN) == 1
+        for name, flags in (("default", []), ("zero", ["--lambda", "0"])):
+            assert run("train", "--method", "source_only", *flags, "--source", str(src),
+                       "--target", str(tgt), "--out-dir", str(tmp_path / name),
+                       *TINY_TRAIN) == 0
+            manifest = json.loads((tmp_path / name / "manifest.json").read_text())
+            assert manifest["config"]["lambda_or_gamma"] == 0.0
+
     def test_unlabeled_source_rejected(self, tmp_path):
         src, tgt = gen_pair(tmp_path)
         unlabeled = tmp_path / "unlabeled.csv"
@@ -153,6 +183,15 @@ class TestSweep:
         assert lines[0] == "lambda,final_e_target,final_target_acc,selected"
         assert len(lines) == 2
         assert lines[1].endswith(",1")
+
+    def test_manifest_records_no_single_weight(self, tmp_path):
+        src, tgt = gen_pair(tmp_path)
+        out = tmp_path / "s"
+        assert run("sweep", "--grid", "0.5,2", "--source", str(src), "--target", str(tgt),
+                   "--out-dir", str(out), *TINY_TRAIN) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["config"]["lambda_or_gamma"] is None
+        assert manifest["grid"] == [0.5, 2.0]
 
     @pytest.mark.parametrize("flag", ["--lambda", "--gamma"])
     def test_weight_flag_is_usage_error(self, tmp_path, flag):

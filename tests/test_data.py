@@ -239,3 +239,19 @@ class TestCsv:
         path.write_text("f0,label\n1.0,0\n2.0,-1\n")
         with pytest.raises(ParseError):
             read_csv(path)
+
+    @pytest.mark.parametrize(
+        "row",
+        [b"2.0,nan", b"2.0,inf", b"2.0,-inf", b"2.0,1e30", b"2.0,2.5", b"2.0,-2",
+         b"2.0,1e8", b"2.0,%d" % (data.MAX_LABEL + 1), b"2.0,\xff", b"\xe9,0"],
+    )
+    def test_label_not_a_class_index_or_not_utf8(self, tmp_path, row):
+        path = tmp_path / "bad.csv"
+        path.write_bytes(b"f0,label\n1.0,0\n" + row + b"\n")
+        with pytest.raises(ParseError, match="not a class index|not UTF-8"):
+            read_csv(path)
+
+    def test_largest_label_accepted(self, tmp_path):
+        path = tmp_path / "ok.csv"
+        path.write_text(f"f0,label\n1.0,0\n2.0,{data.MAX_LABEL}\n")
+        assert read_csv(path).labels.shape == (2, data.MAX_LABEL + 1)
