@@ -254,7 +254,8 @@ def write_csv(ds: Dataset, path) -> None:
 def read_csv(path) -> Dataset:
     """Read a UTF-8 dataset CSV as write_csv writes it.  A label is a class
     index in [-1, MAX_LABEL], -1 on every row when the file is unlabeled.
-    Any malformed file raises ParseError, a header-only one EmptyDatasetError.
+    A malformed file or non-finite feature raises ParseError, a header-only
+    file EmptyDatasetError.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -275,6 +276,10 @@ def read_csv(path) -> Dataset:
         raise ParseError(f"{path}: {exc}") from None
     if table.shape[1] != dim + 1:
         raise ParseError(f"{path}: rows have {table.shape[1]} fields, expected {dim + 1}")
+    non_finite = ~np.isfinite(table[:, :dim]).all(axis=1)
+    if non_finite.any():
+        j = int(np.argmax(non_finite))
+        raise ParseError(f"{path}: row {j + 1}: non-finite feature")
     label = table[:, dim]
     bad = ~((label == np.round(label)) & (label >= -1) & (label <= MAX_LABEL))
     if bad.any():

@@ -27,9 +27,9 @@ class MlpModel:
     """Layer weights/biases plus the hidden activation choice.
 
     ``weights[i]`` has shape (layer_sizes[i+1], layer_sizes[i]) and biases
-    are 1-d; a lane stack prefixes both with the lane axis.  The model is
-    treated as immutable during forward/backward; the optimizer replaces
-    parameter arrays wholesale.
+    are 1-d; a lane stack prefixes both with the lane axis.  forward and
+    backward never modify a model; the trainer updates the parameter arrays
+    of its own stacked copy in place.
     """
 
     layer_sizes: list[int]

@@ -1,16 +1,16 @@
 """Optimization loop for one method at one or several weights (lambda or gamma).
 
-Each step pairs an equal-size source and target mini-batch, applies one
-SGD-with-momentum update on the method's loss, and each epoch records
-full-set metrics: source cross-entropy, target entropy, covariance distance,
-target accuracy, and a KL diagnostic.  Target labels are touched only inside
-the accuracy metric, never in any gradient.
+Each step runs an equal-size source and target mini-batch through the network
+as one batch and applies one SGD-with-momentum update, in place, on the
+method's loss; each epoch records full-set metrics: source cross-entropy,
+target entropy, covariance distance, target accuracy, and a KL diagnostic.
+Target labels are touched only inside the accuracy metric, never in any gradient.
 
 The loop trains lanes in lockstep: copies of one model that share the seed
 and the data order and differ only in the weight (lambda, or gamma for
 entropy_reg), with their parameters stacked along a leading axis.  A lambda
 sweep is one lane per grid value and a single run is one lane; every lane
-gets the bits it gets alone.
+gets the bits it gets alone, but for a weight-0 lane among nonzero ones.
 """
 from __future__ import annotations
 
@@ -177,7 +177,7 @@ class _NonFinite(MecaError):
 
 
 def _require_finite(cause: str, *per_lane: np.ndarray) -> None:
-    if not np.isfinite(np.stack(per_lane)).all():
+    if not all(np.isfinite(v).all() for v in per_lane):
         raise _NonFinite(cause)
 
 
@@ -201,34 +201,35 @@ def _lane_grads(
     """Each lane's parameter gradients on one mini-batch pair, its
     regularizer (the alignment penalty, or the target entropy for
     entropy_reg) weighted by its lambda; raises _NonFinite when a lane's loss
-    is not finite."""
+    is not finite.  With a regularizer the source and target batches run as
+    one batch of 2b columns, source first, in one forward and one backward
+    pass; without one (source_only, or every lambda 0) the source batch alone.
+    """
     layer = config.alignment_layer_index
     lam = lambdas[:, None, None]
-    trace_s = network.forward(model, xs, layer)
-    total = network.cross_entropy(trace_s.probs, zs)
-    g_probs_s = network.grad_cross_entropy_wrt_probs(trace_s.probs, zs)
-    if config.method == "source_only" or not lambdas.any():  # no regularizer
-        grads = network.backward(model, trace_s, g_probs_s, None)
-    elif config.method == "entropy_reg":
-        trace_t = network.forward(model, xt, layer)
-        total = total + lambdas * network.entropy(trace_t.probs)
-        g_probs_t = lam * network.grad_entropy_wrt_probs(trace_t.probs)
-        grads = network.backward(model, trace_s, g_probs_s, None)
-        grads.add_(network.backward(model, trace_t, g_probs_t, None))
-    else:
-        trace_t = network.forward(model, xt, layer)
+    b = xs.shape[1]
+    fused = config.method != "source_only" and lambdas.any()
+    trace = network.forward(model, np.concatenate([xs, xt], axis=1) if fused else xs, layer)
+    probs_s, probs_t = trace.probs[..., :b, :], trace.probs[..., b:, :]
+    total = network.cross_entropy(probs_s, zs)
+    g_probs = network.grad_cross_entropy_wrt_probs(probs_s, zs)
+    g_feat = None
+    if fused and config.method == "entropy_reg":
+        total = total + lambdas * network.entropy(probs_t)
+        g_probs = np.concatenate([g_probs, lam * network.grad_entropy_wrt_probs(probs_t)], -2)
+    elif fused:
         pen_val, ga_s, ga_t = penalty_value_and_grads(
-            trace_s.feature_acts,
-            trace_t.feature_acts,
+            trace.feature_acts[..., :b],
+            trace.feature_acts[..., b:],
             METHOD_PENALTY_KIND[config.method],
             config.jitter_rel,
             config.normalize_cov,
         )
         total = total + lambdas * pen_val
-        grads = network.backward(model, trace_s, g_probs_s, lam * ga_s)
-        grads.add_(network.backward(model, trace_t, None, lam * ga_t))
+        g_probs = np.concatenate([g_probs, np.zeros_like(g_probs)], -2)
+        g_feat = lam * np.concatenate([ga_s, ga_t], axis=-1)
     _require_finite(NON_FINITE_LOSS, total)
-    return grads
+    return network.backward(model, trace, g_probs, g_feat)
 
 
 class _Lanes:
@@ -304,12 +305,13 @@ class _Lanes:
         return None
 
     def momentum_step(self, grads: ParamGrads, lr: float, momentum: float) -> None:
-        model = self.model
-        for i in range(model.n_layers):
-            self.vel_w[i] = momentum * self.vel_w[i] - lr * grads.weights[i]
-            self.vel_b[i] = momentum * self.vel_b[i] - lr * grads.biases[i]
-            model.weights[i] = model.weights[i] + self.vel_w[i]
-            model.biases[i] = model.biases[i] + self.vel_b[i]
+        """v <- momentum v - lr g; p <- p + v, in place; overwrites ``grads``."""
+        params = self.model.weights + self.model.biases
+        for p, v, g in zip(params, self.vel_w + self.vel_b, grads.weights + grads.biases):
+            v *= momentum
+            g *= lr
+            v -= g
+            p += v
 
     def finish(self) -> list[TrainRunResult]:
         for pos, lane in enumerate(self.ids):
@@ -330,12 +332,12 @@ def train_lanes(
     replaces ``config.lambda_or_gamma``.
 
     Returns one result per lambda, each byte-identical to ``train_run`` at
-    that lambda.  Deterministic per seed.  ``eval_labels`` (target ground
-    truth) feeds only the per-epoch accuracy metric; passing None records NaN
-    accuracy and changes nothing else.  A lane whose loss or metrics turn
-    non-finite, or whose covariance path fails, stops there: its result keeps
-    the partial metrics, the parameters of that moment and the Divergence,
-    while the other lanes go on.
+    that lambda (a 0 among nonzero lambdas to the last digits).  Deterministic
+    per seed.  ``eval_labels`` (target ground truth) feeds only the per-epoch
+    accuracy metric; passing None records NaN accuracy and changes nothing
+    else.  A lane whose loss or metrics turn non-finite, or whose covariance
+    path fails, stops there: its result keeps the partial metrics, the
+    parameters of that moment and the Divergence, while the other lanes go on.
     """
     config.validate()
     if eval_labels is not None and np.asarray(eval_labels).shape[0] != target.n:

@@ -116,6 +116,17 @@ class TestTrain:
         err = capsys.readouterr().err
         assert err.startswith(f"meca: {bad}: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("field", ["nan", "inf", "-inf", "1e400"])
+    def test_non_finite_target_feature_is_io_error(self, tmp_path, capsys, field):
+        src, tgt = gen_pair(tmp_path)
+        rows = tgt.read_text().splitlines()
+        rows[2] = ",".join([field] + rows[2].split(",")[1:])
+        bad = tmp_path / "inf.csv"
+        bad.write_text("\n".join(rows) + "\n")
+        assert run("train", "--source", str(src), "--target", str(bad),
+                   "--out-dir", str(tmp_path / "out"), *TINY_TRAIN) == 3
+        assert capsys.readouterr().err == f"meca: {bad}: row 2: non-finite feature\n"
+
     def test_default_flags_train_coral(self, tmp_path):
         # the default --lr and --batch-size; at 0.01 and 128 coral overflows at epoch 2
         src, tgt = gen_pair(tmp_path, per_class=125)

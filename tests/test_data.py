@@ -1,3 +1,4 @@
+import re
 import struct
 
 import numpy as np
@@ -249,6 +250,13 @@ class TestCsv:
         path = tmp_path / "bad.csv"
         path.write_bytes(b"f0,label\n1.0,0\n" + row + b"\n")
         with pytest.raises(ParseError, match="not a class index|not UTF-8"):
+            read_csv(path)
+
+    @pytest.mark.parametrize("field", ["nan", "inf", "-inf", "1e400"])
+    def test_non_finite_feature(self, tmp_path, field):
+        path = tmp_path / "bad.csv"
+        path.write_text(f"f0,f1,label\n1.0,2.0,0\n\n3.0,{field},1\n")
+        with pytest.raises(ParseError, match=re.escape(f"{path}: row 2: non-finite feature")):
             read_csv(path)
 
     def test_largest_label_accepted(self, tmp_path):

@@ -3,15 +3,16 @@ import dataclasses
 import numpy as np
 import pytest
 
-from meca import data, network, trainer
+from meca import alignment, data, network, trainer
 from meca.errors import (
     BadShapeError,
     ConfigInvalidError,
     NoConvergenceError,
     TooFewSamplesError,
 )
-from meca.network import LabeledBatch, UnlabeledBatch, init_model
+from meca.network import LabeledBatch, MlpModel, UnlabeledBatch, init_model
 from meca.trainer import (
+    METHOD_PENALTY_KIND,
     METRICS_HEADER,
     NON_FINITE_LOSS,
     NON_FINITE_METRICS,
@@ -383,6 +384,89 @@ class TestLockstep:
             with pytest.raises(ConfigInvalidError):
                 train_lanes(model, source_ds.as_labeled_batch(),
                             target_ds.as_unlabeled_batch(), quick_config(), bad)
+
+
+def stacked_model(layer_sizes, seeds, activation="tanh"):
+    """One lane per seed, each with its own initial parameters."""
+    models = [init_model(layer_sizes, seed, activation) for seed in seeds]
+    return MlpModel(
+        layer_sizes=list(layer_sizes),
+        weights=[np.stack(ws) for ws in zip(*(m.weights for m in models))],
+        biases=[np.stack(bs) for bs in zip(*(m.biases for m in models))],
+        hidden_activation=activation,
+    )
+
+
+def two_pass_grads(model, lambdas, xs, zs, xt, config):
+    """A step's gradients built from separate source and target passes."""
+    layer = config.alignment_layer_index
+    lam = lambdas[:, None, None]
+    trace_s = network.forward(model, xs, layer)
+    trace_t = network.forward(model, xt, layer)
+    g_probs_s = network.grad_cross_entropy_wrt_probs(trace_s.probs, zs)
+    if config.method == "entropy_reg":
+        g_probs_t = lam * network.grad_entropy_wrt_probs(trace_t.probs)
+        grads = network.backward(model, trace_s, g_probs_s, None)
+        return grads.add_(network.backward(model, trace_t, g_probs_t, None))
+    _, ga_s, ga_t = alignment.penalty_value_and_grads(
+        trace_s.feature_acts, trace_t.feature_acts, METHOD_PENALTY_KIND[config.method],
+        config.jitter_rel, config.normalize_cov,
+    )
+    grads = network.backward(model, trace_s, g_probs_s, lam * ga_s)
+    return grads.add_(network.backward(model, trace_t, None, lam * ga_t))
+
+
+class TestStep:
+    @pytest.mark.parametrize("method", ["entropy_reg", "coral_euclidean", "meca_geodesic"])
+    @pytest.mark.parametrize("layer", [0, 1, None])
+    @pytest.mark.parametrize("lambdas", [[2.0], [0.1, 1.0, 5.0]])
+    @pytest.mark.parametrize("b", [16, 5])
+    def test_joint_pass_matches_two_passes(self, method, layer, lambdas, b):
+        source_ds, target_ds = small_domains()
+        xs, zs = source_ds.inputs[:, :b], source_ds.labels[:b]
+        xt = target_ds.inputs[:, 7 : 7 + b]
+        model = stacked_model([4, 8, 5, 3], seeds=range(len(lambdas)))
+        config = quick_config(method=method, alignment_layer_index=layer)
+        lambdas = np.array(lambdas)
+        joint = trainer._lane_grads(model, lambdas, xs, zs, xt, config)
+        apart = two_pass_grads(model, lambdas, xs, zs, xt, config)
+        for g1, g2 in zip(joint.weights + joint.biases, apart.weights + apart.biases):
+            np.testing.assert_allclose(g1, g2, rtol=1e-12)
+
+    def test_in_place_step_never_aliases(self):
+        source_ds, target_ds = small_domains()
+        source, target = source_ds.as_labeled_batch(), target_ds.as_unlabeled_batch()
+        model = init_model([4, 6, 3], seed=0)
+        config = quick_config(batch_size=16)
+        lanes = trainer._Lanes(model, np.array([0.1, 1.0, 5.0]))
+
+        def live():
+            return lanes.model.weights + lanes.model.biases + lanes.vel_w + lanes.vel_b
+
+        def steps(count):
+            for _ in range(count):
+                grads = trainer._lane_grads(lanes.model, lanes.lambdas, source.inputs[:, :16],
+                                            source.labels[:16], target.inputs[:, :16], config)
+                lanes.momentum_step(grads, config.learning_rate, config.momentum)
+
+        def params(result):
+            return result.model.weights + result.model.biases
+
+        def shares(arrays, others):
+            return any(np.shares_memory(a, b) for a in arrays for b in others)
+
+        assert not shares(model.weights + model.biases, live())
+        steps(2)
+        lanes.retire([None, "stop", None], epoch=1, step=2)
+        frozen = [a.copy() for a in params(lanes.results[1])]
+        steps(2)
+        results = lanes.finish()
+        frozen += [a.copy() for r in (results[0], results[2]) for a in params(r)]
+        steps(2)
+        now = params(results[1]) + params(results[0]) + params(results[2])
+        assert all(np.array_equal(a, b) for a, b in zip(now, frozen, strict=True))
+        assert not any(shares(params(r), live()) for r in results)
+        assert not shares(model.weights + model.biases, live())
 
 
 class TestMetricsCsv:
