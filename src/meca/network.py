@@ -28,8 +28,8 @@ class MlpModel:
 
     ``weights[i]`` has shape (layer_sizes[i+1], layer_sizes[i]) and biases
     are 1-d; a lane stack prefixes both with the lane axis.  forward and
-    backward never modify a model; the trainer updates the parameter arrays
-    of its own stacked copy in place.
+    backward never modify a model; the trainer's stacked copy holds views of
+    one flat parameter buffer, which its momentum step updates in place.
     """
 
     layer_sizes: list[int]
@@ -216,7 +216,7 @@ def cross_entropy(probs: np.ndarray, labels: np.ndarray) -> float | np.ndarray:
     labels = np.asarray(labels, dtype=np.float64)
     probs = _check_probs(probs, labels)
     picked = (probs * labels).sum(axis=-1)
-    return -np.log(np.clip(picked, PROB_CLAMP, 1.0 - PROB_CLAMP)).sum(axis=-1)
+    return -np.log(np.minimum(np.maximum(picked, PROB_CLAMP), 1.0 - PROB_CLAMP)).sum(axis=-1)
 
 
 def entropy(probs: np.ndarray) -> float | np.ndarray:
@@ -234,7 +234,7 @@ def grad_cross_entropy_wrt_probs(probs: np.ndarray, labels: np.ndarray) -> np.nd
     """Entrywise -label/p, to be paired with the softmax Jacobian in backward."""
     labels = np.asarray(labels, dtype=np.float64)
     probs = _check_probs(probs, labels)
-    return -labels / np.clip(probs, PROB_CLAMP, 1.0 - PROB_CLAMP)
+    return -labels / np.minimum(np.maximum(probs, PROB_CLAMP), 1.0 - PROB_CLAMP)
 
 
 def grad_entropy_wrt_probs(probs: np.ndarray) -> np.ndarray:
@@ -245,8 +245,8 @@ def grad_entropy_wrt_probs(probs: np.ndarray) -> np.ndarray:
 
 def zero_grads(model: MlpModel) -> ParamGrads:
     return ParamGrads(
-        weights=[np.zeros_like(w) for w in model.weights],
-        biases=[np.zeros_like(b) for b in model.biases],
+        weights=[np.zeros(w.shape) for w in model.weights],
+        biases=[np.zeros(b.shape) for b in model.biases],
     )
 
 
@@ -255,12 +255,14 @@ def backward(
     trace: ForwardTrace,
     loss_grads_at_probs: np.ndarray | None,
     loss_grads_at_feature_acts: np.ndarray | None,
+    out: ParamGrads | None = None,
 ) -> ParamGrads:
     """Backpropagate gradients injected at the probabilities and/or the
     alignment-layer activations; contributions accumulate additively through
     shared layers.  Either injection may be None (treated as zero); with no
     gradient at the probabilities, backpropagation starts at the alignment
-    layer and the layers above it get zero gradients.
+    layer and the layers above it get zero gradients.  When given, ``out``
+    (C-contiguous, the parameters' shapes) takes every entry of the result.
     """
     a = trace.alignment_layer
     g_feat = None
@@ -288,20 +290,19 @@ def backward(
     else:
         top = -1  # nothing to backpropagate
 
-    weights, biases = [], []  # from layer `top` down to layer 0
+    out = zero_grads(model) if out is None else out
+    for g in out.weights[top + 1 :] + out.biases[top + 1 :]:
+        g.fill(0.0)  # a reused buffer holds the last step's gradients
     for i in range(top, -1, -1):
-        weights.append(delta @ trace.acts[i].swapaxes(-1, -2))
-        biases.append(delta.sum(axis=-1))
+        np.matmul(delta, trace.acts[i].swapaxes(-1, -2), out=out.weights[i])
+        delta.sum(axis=-1, out=out.biases[i])
         if i == 0:
             break
         g_act = model.weights[i].swapaxes(-1, -2) @ delta
         if g_feat is not None and a == i:
             g_act = g_act + g_feat
         delta = g_act * _activate_grad(trace.pre_acts[i - 1], model.hidden_activation)
-    return ParamGrads(
-        weights=weights[::-1] + [np.zeros_like(w) for w in model.weights[top + 1 :]],
-        biases=biases[::-1] + [np.zeros_like(b) for b in model.biases[top + 1 :]],
-    )
+    return out
 
 
 def save_model(model: MlpModel, path) -> None:

@@ -22,6 +22,7 @@ from .errors import (
 
 SYMMETRY_RTOL = 1e-10
 JITTER_FLOOR = 1e-12
+FLOAT_MAX = float(np.finfo(np.float64).max)
 DEFAULT_JITTER_REL = 1e-5
 # Eigenvalue pairs closer than this (relatively) use the limit value of the
 # divided difference, which removes the removable singularity continuously.
@@ -87,8 +88,8 @@ def _check_square(m: np.ndarray) -> np.ndarray:
 def _check_symmetric(m: np.ndarray) -> np.ndarray:
     m = _check_square(m)
     scale = np.abs(m).max(axis=(-2, -1))  # per matrix; NaN or inf when any entry is
-    if not np.isfinite(scale).all():
-        raise DegenerateMatrixError("matrix has non-finite entries")
+    if not (scale <= FLOAT_MAX / (2 * m.shape[-1])).all():  # d * scale bounds every |eigenvalue|
+        raise DegenerateMatrixError("matrix has non-finite entries or is too large to decompose")
     asym = np.abs(m - m.swapaxes(-1, -2)).max(axis=(-2, -1))
     bad = asym > SYMMETRY_RTOL * scale
     if bad.any():
@@ -108,9 +109,9 @@ def sym_eig(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     largest-magnitude component is positive.  Each matrix of a stack gets the
     bits it gets alone; deterministic for identical input bits on one
     numpy/LAPACK build.  Raises NonSymmetricError for a non-square or
-    asymmetric matrix, DegenerateMatrixError for non-finite entries and
-    NoConvergenceError when LAPACK does not converge, on a stack when any of
-    its matrices does; each matrix is checked against its own scale.
+    asymmetric matrix, DegenerateMatrixError for entries non-finite or big
+    enough to overflow an eigenvalue, NoConvergenceError when LAPACK does not
+    converge; on a stack when any matrix does, each on its own scale.
     """
     m = _check_symmetric(m)
     stack = m.reshape((-1,) + m.shape[-2:])  # a single matrix is a stack of one

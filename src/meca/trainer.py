@@ -8,9 +8,11 @@ Target labels are touched only inside the accuracy metric, never in any gradient
 
 The loop trains lanes in lockstep: copies of one model that share the seed
 and the data order and differ only in the weight (lambda, or gamma for
-entropy_reg), with their parameters stacked along a leading axis.  A lambda
-sweep is one lane per grid value and a single run is one lane; every lane
-gets the bits it gets alone, but for a weight-0 lane among nonzero ones.
+entropy_reg).  Their parameters, velocities and gradients are stacked along a
+leading axis, each kind in one flat buffer that backward and the momentum
+step write in place.  A lambda sweep is one lane per grid value and a single
+run is one lane; every lane gets the bits it gets alone, but for a weight-0
+lane among nonzero ones.
 """
 from __future__ import annotations
 
@@ -197,13 +199,15 @@ def _lane_grads(
     zs: np.ndarray,
     xt: np.ndarray,
     config: TrainConfig,
+    out: ParamGrads | None = None,
 ) -> ParamGrads:
-    """Each lane's parameter gradients on one mini-batch pair, its
-    regularizer (the alignment penalty, or the target entropy for
-    entropy_reg) weighted by its lambda; raises _NonFinite when a lane's loss
-    is not finite.  With a regularizer the source and target batches run as
-    one batch of 2b columns, source first, in one forward and one backward
-    pass; without one (source_only, or every lambda 0) the source batch alone.
+    """Each lane's parameter gradients on one mini-batch pair (into ``out``
+    when given), its regularizer (the alignment penalty, or the target
+    entropy for entropy_reg) weighted by its lambda; raises _NonFinite when a
+    lane's loss is not finite.  With a regularizer the source and target
+    batches run as one batch of 2b columns, source first, in one forward and
+    one backward pass; without one (source_only, or every lambda 0) the
+    source batch alone.
     """
     layer = config.alignment_layer_index
     lam = lambdas[:, None, None]
@@ -229,7 +233,7 @@ def _lane_grads(
         g_probs = np.concatenate([g_probs, np.zeros_like(g_probs)], -2)
         g_feat = lam * np.concatenate([ga_s, ga_t], axis=-1)
     _require_finite(NON_FINITE_LOSS, total)
-    return network.backward(model, trace, g_probs, g_feat)
+    return network.backward(model, trace, g_probs, g_feat, out)
 
 
 class _Lanes:
@@ -238,23 +242,34 @@ class _Lanes:
     The lanes still training keep their lambdas, parameters and momentum
     velocities stacked along axis 0, with ``ids`` giving each one's position
     in the grid; a lane that diverges is frozen into its result and dropped
-    from the stacks.
+    from the stacks.  Rows 0, 1 and 2 of ``flat`` hold the parameters,
+    velocities and gradients, parameter by parameter: the model's weights
+    and biases, ``vels`` and ``grads`` are contiguous views of it, and a
+    momentum step is four ufunc calls.  ``retire`` lays out a fresh ``flat``.
     """
 
     def __init__(self, model: MlpModel, lambdas: np.ndarray):
         n = lambdas.size
         self.ids = np.arange(n)
         self.lambdas = lambdas
-        self.model = MlpModel(
-            layer_sizes=list(model.layer_sizes),
-            weights=[np.repeat(w[None], n, axis=0) for w in model.weights],
-            biases=[np.repeat(b[None], n, axis=0) for b in model.biases],
-            hidden_activation=model.hidden_activation,
-        )
-        self.vel_w = [np.zeros_like(w) for w in self.model.weights]
-        self.vel_b = [np.zeros_like(b) for b in self.model.biases]
+        self.model = MlpModel(list(model.layer_sizes), [], [], model.hidden_activation)
+        stacks = [np.repeat(p[None], n, axis=0) for p in model.weights + model.biases]
+        self._lay_out(stacks + [np.zeros_like(p) for p in stacks])
         self.metrics: list[list[EpochMetrics]] = [[] for _ in range(n)]
         self.results: list[TrainRunResult | None] = [None] * n
+
+    def _lay_out(self, arrays: list[np.ndarray]) -> None:
+        """Copy ``arrays``, the stacked parameters (weights first) and then
+        their velocities, into rows 0 and 1 of a fresh ``flat``."""
+        params = arrays[: len(arrays) // 2]
+        ends = np.cumsum([a.size for a in params])
+        self.flat = np.zeros((3, ends[-1]))
+        self.flat[:2] = np.concatenate([a.reshape(-1) for a in arrays]).reshape(2, -1)
+        p, v, g = ([row[e - a.size : e].reshape(a.shape) for a, e in zip(params, ends)]
+                   for row in self.flat)
+        k = len(p) // 2
+        self.model.weights, self.model.biases, self.vels = p[:k], p[k:], v
+        self.grads = ParamGrads(g[:k], g[k:])
 
     def _model_of(self, pos: int | slice) -> MlpModel:
         """A copy of lane ``pos``'s parameters; a slice keeps the lane axis."""
@@ -273,30 +288,27 @@ class _Lanes:
             divergence = Divergence(epoch, step, causes[pos])
             self.results[lane] = TrainRunResult(self._model_of(pos), self.metrics[lane], divergence)
         self.ids, self.lambdas = self.ids[keep], self.lambdas[keep]
-        self.model.weights = [w[keep] for w in self.model.weights]
-        self.model.biases = [b[keep] for b in self.model.biases]
-        self.vel_w = [v[keep] for v in self.vel_w]
-        self.vel_b = [v[keep] for v in self.vel_b]
+        self._lay_out([a[keep] for a in self.model.weights + self.model.biases + self.vels])
 
     def _failure_alone(self, compute, pos: int) -> str | None:
         """The cause of lane ``pos`` failing when computed on its own, as a
         one-lane stack; None when it succeeds."""
         try:
-            compute(self._model_of(slice(pos, pos + 1)), self.lambdas[pos : pos + 1])
+            compute(self._model_of(slice(pos, pos + 1)), self.lambdas[pos : pos + 1], None)
         except _LANE_FAILURES as exc:
             return _cause(exc)
         return None
 
     def attempt(self, compute, epoch: int, step: int | None):
-        """``compute(model, lambdas)`` on the lanes still training.  When it
-        fails, each lane is computed alone: the lanes that fail are retired,
-        each with its own cause, and the rest computed again.  When no lane
-        fails alone, every lane ends with the failure of the stack.  None
-        once no lane is left.
+        """``compute(model, lambdas, grads)`` on the lanes still training.
+        When it fails, each lane is computed alone, on a copy with ``grads``
+        None: the lanes that fail are retired, each with its own cause, and
+        the rest computed again.  When no lane fails alone, every lane ends
+        with the failure of the stack.  None once no lane is left.
         """
         while self.ids.size:
             try:
-                return compute(self.model, self.lambdas)
+                return compute(self.model, self.lambdas, self.grads)
             except _LANE_FAILURES as exc:
                 causes = [self._failure_alone(compute, pos) for pos in range(self.ids.size)]
                 if not any(causes):
@@ -304,14 +316,14 @@ class _Lanes:
                 self.retire(causes, epoch, step)
         return None
 
-    def momentum_step(self, grads: ParamGrads, lr: float, momentum: float) -> None:
-        """v <- momentum v - lr g; p <- p + v, in place; overwrites ``grads``."""
-        params = self.model.weights + self.model.biases
-        for p, v, g in zip(params, self.vel_w + self.vel_b, grads.weights + grads.biases):
-            v *= momentum
-            g *= lr
-            v -= g
-            p += v
+    def momentum_step(self, lr: float, momentum: float) -> None:
+        """v <- momentum v - lr g; p <- p + v, in place, with g the gradients
+        last written into ``grads``, which it overwrites."""
+        p, v, g = self.flat
+        v *= momentum
+        g *= lr
+        v -= g
+        p += v
 
     def finish(self) -> list[TrainRunResult]:
         for pos, lane in enumerate(self.ids):
@@ -354,23 +366,24 @@ def train_lanes(
     for epoch in range(1, config.epochs + 1):
         perm_s = rng.permutation(source.n)
         perm_t = rng.permutation(target.n)
+        order_t = perm_t[np.arange(source.n) % target.n]  # target batches cycle
         for step, start in enumerate(range(0, source.n, config.batch_size), start=1):
             idx_s = perm_s[start : start + config.batch_size]
             if idx_s.size < 2:
                 continue  # covariance needs two samples
-            idx_t = perm_t[(start + np.arange(idx_s.size)) % target.n]
+            idx_t = order_t[start : start + config.batch_size]
             xs, zs = source.inputs[:, idx_s], source.labels[idx_s]
             xt = target.inputs[:, idx_t]
 
             grads = lanes.attempt(
-                lambda m, lam: _lane_grads(m, lam, xs, zs, xt, config), epoch, step
+                lambda m, lam, out: _lane_grads(m, lam, xs, zs, xt, config, out), epoch, step
             )
             if grads is None:
                 return lanes.results
-            lanes.momentum_step(grads, config.learning_rate, config.momentum)
+            lanes.momentum_step(config.learning_rate, config.momentum)
 
         rows = lanes.attempt(
-            lambda m, lam: _epoch_metrics(
+            lambda m, lam, _: _epoch_metrics(
                 m, source, target, config, epoch, metric_kind, eval_labels
             ),
             epoch,

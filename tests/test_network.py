@@ -270,6 +270,39 @@ class TestBackward:
             for a, b in zip(grads.weights + grads.biases, g.weights + g.biases):
                 assert a[lane].tobytes() == b.tobytes()
 
+    @pytest.mark.parametrize("activation", ["relu", "tanh"])
+    @pytest.mark.parametrize("layer", [0, 1, None])
+    @pytest.mark.parametrize("lanes", [1, 3])
+    @pytest.mark.parametrize("with_probs", [True, False])
+    def test_backward_into_buffer_matches_fresh(self, activation, layer, lanes, with_probs):
+        # a buffer full of NaN stands for stale values: every entry must be
+        # overwritten, the layers above the alignment layer with exact zeros
+        # when backpropagation starts there
+        rng = np.random.default_rng(31)
+        models = [init_model([3, 5, 4, 3], seed=s, hidden_activation=activation)
+                  for s in range(lanes)]
+        stacked = network.MlpModel(
+            [3, 5, 4, 3],
+            [np.stack([mm.weights[i] for mm in models]) for i in range(3)],
+            [np.stack([mm.biases[i] for mm in models]) + 0.1 for i in range(3)],
+            activation,
+        )
+        x = rng.standard_normal((3, 7))
+        trace = forward(stacked, x, layer)
+        labels = one_hot(rng.integers(0, 3, size=7), 3)
+        g_probs = grad_cross_entropy_wrt_probs(trace.probs, labels) if with_probs else None
+        g_feat = rng.standard_normal(trace.feature_acts.shape)
+        buf = network.ParamGrads([np.full(w.shape, np.nan) for w in stacked.weights],
+                                 [np.full(b.shape, np.nan) for b in stacked.biases])
+        fresh = backward(stacked, trace, g_probs, g_feat)
+        into = backward(stacked, trace, g_probs, g_feat, out=buf)
+        assert into is buf
+        for a, b in zip(into.weights + into.biases, fresh.weights + fresh.biases, strict=True):
+            assert np.array_equal(a, b) and a.tobytes() == b.tobytes()
+        if not with_probs:  # weight layers from the alignment layer's index up
+            above = trace.alignment_layer
+            assert all(np.all(g == 0.0) for g in buf.weights[above:] + buf.biases[above:])
+
     def test_bad_gradient_shapes(self):
         m = init_model([3, 5, 3], seed=0)
         trace = forward(m, np.ones((3, 2)))

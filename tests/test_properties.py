@@ -1,5 +1,7 @@
-"""Property tests of the file readers and writers: exact CSV round trips, and
-no input bytes that end in anything but a Dataset or a MecaError."""
+"""Property tests: exact CSV round trips, no input bytes that end in anything
+but a Dataset or a MecaError, and the contracts of ``spd.sym_eig`` and
+``spd.loewner_log`` on the inputs where they are hardest to keep: repeated
+and nearly repeated eigenvalues."""
 import struct
 
 import numpy as np
@@ -9,7 +11,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, strategies as st  # noqa: E402
 from hypothesis.extra import numpy as hnp  # noqa: E402
 
-from meca import data  # noqa: E402
+from meca import data, spd  # noqa: E402
 from meca.errors import MecaError  # noqa: E402
 
 # every finite float64, with -0.0 and the smallest subnormal drawn often
@@ -93,3 +95,82 @@ def test_idx_reader_raises_only_meca_errors(
     except MecaError:
         return
     assert isinstance(ds, data.Dataset)
+
+
+EPS = np.finfo(np.float64).eps
+
+
+def check_sym_eig_contract(m, vals, vecs):
+    """Descending eigenvalues, orthonormal eigenvectors with their largest
+    component positive, U diag(vals) U^T = m, within LAPACK's backward error."""
+    d = m.shape[-1]
+    tol = 64 * d * EPS * max(np.abs(m).max(), np.finfo(np.float64).tiny)
+    assert vals.shape == m.shape[:-1] and vecs.shape == m.shape
+    assert np.all(np.diff(vals, axis=-1) <= 0.0)
+    assert np.abs(vecs.swapaxes(-1, -2) @ vecs - np.eye(d)).max() <= 64 * d * EPS
+    assert np.abs((vecs * vals[..., None, :]) @ vecs.swapaxes(-1, -2) - m).max() <= tol
+    lead = np.argmax(np.abs(vecs), axis=-2)[..., None, :]
+    assert np.all(np.take_along_axis(vecs, lead, axis=-2) > 0.0)
+
+
+@given(
+    lanes=st.integers(1, 3), dim=st.integers(1, 6), seed=st.integers(0, 2**32 - 1),
+    pool=st.lists(st.floats(-1e3, 1e3, allow_subnormal=False), min_size=1, max_size=3),
+    data_=st.data(),
+)
+def test_sym_eig_contract_with_repeated_eigenvalues(lanes, dim, seed, pool, data_):
+    # a stack of Q diag(spectrum) Q^T, each spectrum drawn with repeats from a
+    # pool of at most three values, each Q a random orthogonal matrix
+    spectra = np.array(data_.draw(st.lists(
+        st.lists(st.sampled_from(pool), min_size=dim, max_size=dim),
+        min_size=lanes, max_size=lanes)))
+    q, _ = np.linalg.qr(np.random.default_rng(seed).standard_normal((lanes, dim, dim)))
+    m = (q * spectra[:, None, :]) @ q.swapaxes(-1, -2)
+    m = 0.5 * (m + m.swapaxes(-1, -2))
+    vals, vecs = spd.sym_eig(m)
+    check_sym_eig_contract(m, vals, vecs)
+    scale = max(np.abs(spectra).max(), 1.0)
+    assert np.abs(vals - -np.sort(-spectra, axis=-1)).max() <= 64 * dim * EPS * scale
+    for k in range(lanes):  # each matrix gets the bits it gets alone
+        alone = spd.sym_eig(m[k])
+        assert alone[0].tobytes() == vals[k].tobytes()
+        assert alone[1].tobytes() == vecs[k].tobytes()
+
+
+@given(hnp.arrays(np.float64, st.tuples(st.integers(1, 2), st.integers(1, 4)).map(
+    lambda s: (s[0], s[1], s[1])), elements=st.floats() | st.sampled_from([1e308, -1e308])))
+def test_sym_eig_raises_only_meca_errors(m):
+    # symmetric or not, finite or not, near the float64 limit or not: either
+    # the contract holds or the failure is a MecaError
+    with np.errstate(over="ignore", invalid="ignore"):
+        candidates = [m, m + m.swapaxes(-1, -2), np.triu(m) + np.triu(m, 1).swapaxes(-1, -2)]
+    for candidate in candidates:
+        try:
+            vals, vecs = spd.sym_eig(candidate)
+        except MecaError:
+            continue
+        assert np.isfinite(vals).all() and np.isfinite(vecs).all()
+        check_sym_eig_contract(candidate, vals, vecs)
+
+
+@given(
+    lanes=st.integers(1, 3),
+    base=st.floats(-8.0, 8.0).map(lambda e: 10.0**e),
+    gap=st.just(0.0) | st.floats(-14.0, -6.0).map(lambda e: 10.0**e),
+)
+def test_loewner_log_near_degeneracy(lanes, base, gap):
+    # eigenvalue pairs a, a (1 + gap), down to gaps of 1e-14 relative, where
+    # the divided difference (log b - log a) / (b - a) tends to its limit 1/a
+    a = np.array([[base * (1.0 + gap), base, 2.0 * base]] * lanes)
+    lo = spd.loewner_log(a)
+    assert lo.shape == (lanes, 3, 3) and np.all(np.isfinite(lo)) and np.all(lo > 0.0)
+    assert np.array_equal(np.diagonal(lo, axis1=-2, axis2=-1), 1.0 / a)
+    gap = abs(a[0, 0] - a[0, 1]) / a[0, 1]  # the gap after rounding
+    # within the gap of the limit, plus the rounding of log b - log a, which
+    # cancels to about eps |log a| absolute and is divided by the gap
+    bound = gap + 4 * EPS * (1.0 + abs(np.log(base))) / max(gap, spd.LOEWNER_DEGENERACY_RTOL)
+    for i, j in ((0, 1), (1, 0)):
+        assert abs(lo[0, i, j] * a[0, j] - 1.0) <= bound
+    # the far pair is the mean-value 1/xi for xi between a and 2a
+    assert 1.0 / (2.0 * base) * (1 - 1e-12) <= lo[0, 1, 2] <= 1.0 / base * (1 + 1e-12)
+    assert all(np.array_equal(lo[k], lo[0]) for k in range(lanes))

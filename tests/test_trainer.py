@@ -441,13 +441,24 @@ class TestStep:
         lanes = trainer._Lanes(model, np.array([0.1, 1.0, 5.0]))
 
         def live():
-            return lanes.model.weights + lanes.model.biases + lanes.vel_w + lanes.vel_b
+            return (lanes.model.weights + lanes.model.biases + lanes.vels
+                    + lanes.grads.weights + lanes.grads.biases + [lanes.flat])
+
+        def stacks():
+            return lanes.model.weights + lanes.model.biases + lanes.vels
+
+        def laid_out():
+            views = stacks() + lanes.grads.weights + lanes.grads.biases
+            return all(v.base is lanes.flat and v.flags.c_contiguous for v in views)
+
+        def grads(m, lambdas, out):
+            return trainer._lane_grads(m, lambdas, source.inputs[:, :16], source.labels[:16],
+                                       target.inputs[:, :16], config, out)
 
         def steps(count):
             for _ in range(count):
-                grads = trainer._lane_grads(lanes.model, lanes.lambdas, source.inputs[:, :16],
-                                            source.labels[:16], target.inputs[:, :16], config)
-                lanes.momentum_step(grads, config.learning_rate, config.momentum)
+                grads(lanes.model, lanes.lambdas, lanes.grads)
+                lanes.momentum_step(config.learning_rate, config.momentum)
 
         def params(result):
             return result.model.weights + result.model.biases
@@ -457,7 +468,15 @@ class TestStep:
 
         assert not shares(model.weights + model.biases, live())
         steps(2)
+        assert laid_out()
+        # a lane computed alone writes nothing into the live buffers
+        flat = lanes.flat.tobytes()
+        assert lanes._failure_alone(grads, 1) is None and lanes.flat.tobytes() == flat
+        # the survivors keep their parameters and velocities bit for bit, in
+        # a fresh layout
+        survivors = [a[[0, 2]].tobytes() for a in stacks()]
         lanes.retire([None, "stop", None], epoch=1, step=2)
+        assert laid_out() and [a.tobytes() for a in stacks()] == survivors
         frozen = [a.copy() for a in params(lanes.results[1])]
         steps(2)
         results = lanes.finish()
