@@ -24,36 +24,27 @@ def _centered(acts: np.ndarray) -> np.ndarray:
     return acts - acts.mean(axis=-1, keepdims=True)
 
 
-def _scatter(m: np.ndarray, normalize: bool) -> np.ndarray:
-    """M M^T of centered activations M (optionally divided by n - 1)."""
-    c = m @ m.swapaxes(-1, -2)
-    if normalize:
-        c = c / (m.shape[-1] - 1)
-    return c
+def _jittered_covariance(m: np.ndarray, jitter_rel: float) -> SpdMatrix:
+    return SpdMatrix(spd.add_jitter(m @ m.swapaxes(-1, -2), jitter_rel))
 
 
-def _jittered_covariance(m: np.ndarray, jitter_rel: float, normalize: bool) -> SpdMatrix:
-    return SpdMatrix(spd.add_jitter(_scatter(m, normalize), jitter_rel))
+def raw_covariance(acts: np.ndarray) -> np.ndarray:
+    """Pre-jitter covariance A J A^T."""
+    m = _centered(acts)
+    return m @ m.swapaxes(-1, -2)
 
 
-def raw_covariance(acts: np.ndarray, normalize: bool = False) -> np.ndarray:
-    """Pre-jitter covariance A J A^T (optionally divided by n - 1)."""
-    return _scatter(_centered(acts), normalize)
-
-
-def covariance(
-    acts: np.ndarray,
-    jitter_rel: float = spd.DEFAULT_JITTER_REL,
-    normalize: bool = False,
-) -> SpdMatrix:
+def covariance(acts: np.ndarray, jitter_rel: float = spd.DEFAULT_JITTER_REL) -> SpdMatrix:
     """Second-order statistics of a batch, repaired to strict SPD.
 
-    Jitter is applied here so every penalty and gradient downstream sees a
-    strictly positive definite matrix even for rank-deficient batches.  The
-    eigendecomposition waits for first use, so the Euclidean penalty never
-    computes one.  An overflowed batch raises DegenerateMatrixError.
+    Unnormalized: no 1/(n - 1) factor, whose scale the penalty's weight
+    absorbs.  Jitter is applied here so every penalty and gradient
+    downstream sees a strictly positive definite matrix even for
+    rank-deficient batches.  The eigendecomposition waits for first use, so
+    the Euclidean penalty never computes one.  An overflowed batch raises
+    DegenerateMatrixError.
     """
-    return _jittered_covariance(_centered(acts), jitter_rel, normalize)
+    return _jittered_covariance(_centered(acts), jitter_rel)
 
 
 def penalty_distance(cs: SpdMatrix, ct: SpdMatrix, kind: str) -> float | np.ndarray:
@@ -64,24 +55,21 @@ def penalty_distance(cs: SpdMatrix, ct: SpdMatrix, kind: str) -> float | np.ndar
     raise BadShapeError(f"no distance for penalty kind {kind!r}")
 
 
-def _grad_through_covariance(
-    m: np.ndarray, g_cov: np.ndarray, jitter_rel: float, normalize: bool
-) -> np.ndarray:
+def _grad_through_covariance(m: np.ndarray, g_cov: np.ndarray, jitter_rel: float) -> np.ndarray:
     """Chain a covariance gradient back to the activations, given the
     centered activations ``m``.
 
-    C = s A J A^T + eps I with s the optional 1/(n-1) factor and eps the
-    trace-proportional jitter, so the gradient has a main term through the
-    quadratic form and a small term through the jitter's trace dependence,
-    which vanishes where the jitter sits at its floor.
+    C = A J A^T + eps I with eps the trace-proportional jitter, so the
+    gradient has a main term through the quadratic form and a small term
+    through the jitter's trace dependence, which vanishes where the jitter
+    sits at its floor.
     """
-    d, n = m.shape[-2:]
-    s = 1.0 / (n - 1) if normalize else 1.0
-    grad = s * ((g_cov + g_cov.swapaxes(-1, -2)) @ m)
-    raw_trace = s * (m * m).sum(axis=(-2, -1))
+    d = m.shape[-2]
+    grad = (g_cov + g_cov.swapaxes(-1, -2)) @ m
+    raw_trace = (m * m).sum(axis=(-2, -1))
     above_floor = jitter_rel * raw_trace / d > spd.JITTER_FLOOR
     if above_floor.any():
-        coef = (2.0 * jitter_rel / d) * g_cov.trace(axis1=-2, axis2=-1) * s
+        coef = (2.0 * jitter_rel / d) * g_cov.trace(axis1=-2, axis2=-1)
         jitter_term = coef[..., None, None] * m
         grad = np.where(above_floor[..., None, None], grad + jitter_term, grad)
     return grad
@@ -92,7 +80,6 @@ def penalty_value_and_grads(
     acts_t: np.ndarray,
     kind: str,
     jitter_rel: float = spd.DEFAULT_JITTER_REL,
-    normalize: bool = False,
 ) -> tuple[float | np.ndarray, np.ndarray, np.ndarray]:
     """Unweighted penalty value and its gradients w.r.t. both activation sets.
 
@@ -108,13 +95,13 @@ def penalty_value_and_grads(
             f"{acts_t.shape} differ in feature count"
         )
     ms, mt = _centered(acts_s), _centered(acts_t)
-    cs = _jittered_covariance(ms, jitter_rel, normalize)
-    ct = _jittered_covariance(mt, jitter_rel, normalize)
+    cs = _jittered_covariance(ms, jitter_rel)
+    ct = _jittered_covariance(mt, jitter_rel)
     value = penalty_distance(cs, ct, kind)  # raises BadShapeError for an unknown kind
     if kind == "euclidean":
         gs, gt = spd.grad_dist_euclidean(cs, ct)
     else:
         gs, gt = spd.grad_dist_log_euclidean(cs, ct)
-    ga_s = _grad_through_covariance(ms, gs, jitter_rel, normalize)
-    ga_t = _grad_through_covariance(mt, gt, jitter_rel, normalize)
+    ga_s = _grad_through_covariance(ms, gs, jitter_rel)
+    ga_t = _grad_through_covariance(mt, gt, jitter_rel)
     return value, ga_s, ga_t

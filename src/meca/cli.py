@@ -23,8 +23,6 @@ EXIT_USAGE = 1
 EXIT_NUMERICAL = 2
 EXIT_IO = 3
 
-DEFAULT_WEIGHT = 0.1  # --lambda/--gamma of the three weighted methods
-
 CLI_METHODS = {
     "source_only": "source_only",
     "entropy_reg": "entropy_reg",
@@ -44,23 +42,27 @@ def _csv_floats(text: str) -> list[float]:
     return [float(v) for v in text.split(",") if v.strip()]
 
 
-def _csv_ints(text: str) -> list[int]:
-    return [int(v) for v in text.split(",") if v.strip()]
+def _widths(text: str) -> list[int]:
+    widths = [int(v) for v in text.split(",") if v.strip()]
+    if any(w < 1 for w in widths):
+        raise argparse.ArgumentTypeError(f"layer widths must be >= 1, got {text!r}")
+    return widths
 
 
 def _add_train_options(p: argparse.ArgumentParser):
-    p.add_argument("--epochs", type=int, default=100)
-    p.add_argument("--batch-size", type=int, default=16)
-    p.add_argument("--lr", type=float, default=5e-4)
-    p.add_argument("--momentum", type=float, default=0.9)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--hidden", type=_csv_ints, default=[32, 32],
+    """The training flags of train and sweep, defaulting to TrainConfig's."""
+    d = trainer.TrainConfig()
+    p.add_argument("--epochs", type=int, default=d.epochs)
+    p.add_argument("--batch-size", type=int, default=d.batch_size)
+    p.add_argument("--lr", type=float, default=d.learning_rate)
+    p.add_argument("--momentum", type=float, default=d.momentum)
+    p.add_argument("--seed", type=int, default=d.seed)
+    p.add_argument("--hidden", type=_widths, default=[32, 32],
                    help="comma-separated hidden layer widths")
     p.add_argument("--activation", choices=network.HIDDEN_ACTIVATIONS, default="relu")
     p.add_argument("--align-layer", type=int, default=None,
                    help="activation index used for alignment (default: penultimate)")
-    p.add_argument("--jitter", type=float, default=1e-5)
-    p.add_argument("--normalize-cov", action="store_true")
+    p.add_argument("--jitter", type=float, default=d.jitter_rel)
     p.add_argument("--source", required=True, help="labeled source CSV")
     p.add_argument("--target", required=True, help="target CSV (labels, if present, feed only the accuracy metric)")
     p.add_argument("--out-dir", required=True)
@@ -81,7 +83,8 @@ def build_parser() -> _Parser:
     p_train.add_argument("--method", choices=sorted(CLI_METHODS), default="meca")
     p_train.add_argument("--lambda", "--gamma", dest="weight", type=float, default=None,
                          help="weight of the alignment penalty (coral, meca) or of the "
-                              "target entropy (entropy_reg), default 0.1; the two spellings "
+                              f"target entropy (entropy_reg), default "
+                              f"{trainer.TrainConfig.lambda_or_gamma:g}; the two spellings "
                               "are one option; source_only takes none (or 0)")
     _add_train_options(p_train)
 
@@ -156,7 +159,6 @@ def _set_up(args, weight: float) -> _Run:
         seed=args.seed,
         alignment_layer_index=args.align_layer,
         jitter_rel=args.jitter,
-        normalize_cov=args.normalize_cov,
     )
     sizes = [source_ds.dim] + list(args.hidden) + [source_ds.labels.shape[1]]
     model = network.init_model(sizes, seed=args.seed, hidden_activation=args.activation)
@@ -196,10 +198,10 @@ def cmd_gen(args) -> int:
 
 
 def _train_weight(args) -> float:
-    """--lambda/--gamma, defaulting to 0.1, or to 0 for source_only, which has
-    nothing to weight."""
+    """--lambda/--gamma, defaulting to TrainConfig's, or to 0 for source_only,
+    which has nothing to weight."""
     if args.method != "source_only":
-        return DEFAULT_WEIGHT if args.weight is None else args.weight
+        return trainer.TrainConfig.lambda_or_gamma if args.weight is None else args.weight
     if args.weight:
         raise ConfigInvalidError(f"source_only takes no weight, got {args.weight:g}")
     return 0.0

@@ -55,7 +55,6 @@ class ForwardTrace:
     """Everything backward needs from one forward pass."""
 
     acts: list[np.ndarray]       # acts[0] = inputs (no lane axis), acts[i] = hidden activation i
-    pre_acts: list[np.ndarray]   # pre_acts[i] = W_i acts[i] + b_i
     probs: np.ndarray            # ([lanes,] n, K) row-stochastic
     feature_acts: np.ndarray     # ([lanes,] d, n) at the alignment layer
     alignment_layer: int
@@ -144,11 +143,11 @@ def _activate(z: np.ndarray, kind: str) -> np.ndarray:
     return np.tanh(z)
 
 
-def _activate_grad(z: np.ndarray, kind: str) -> np.ndarray:
+def _activate_grad(a: np.ndarray, kind: str) -> np.ndarray:
+    """The activation's derivative, from its output ``a``."""
     if kind == "relu":
-        return (z > 0.0).astype(np.float64)
-    t = np.tanh(z)
-    return 1.0 - t * t
+        return a > 0.0
+    return 1.0 - a * a
 
 
 def _softmax_columns(z: np.ndarray) -> np.ndarray:
@@ -180,21 +179,18 @@ def forward(
         )
 
     acts = [inputs]
-    pre_acts = []
     a = inputs
     for i in range(n_layers):
         z = model.weights[i] @ a + model.biases[i][..., None]
-        pre_acts.append(z)
         if i < n_layers - 1:
             a = _activate(z, model.hidden_activation)
             acts.append(a)
-    probs = _softmax_columns(pre_acts[-1]).swapaxes(-1, -2)
+    probs = _softmax_columns(z).swapaxes(-1, -2)
     feature_acts = acts[alignment_layer_index]
     if alignment_layer_index == 0:  # the shared inputs, seen by every lane
         feature_acts = np.broadcast_to(inputs, probs.shape[:-2] + inputs.shape)
     return ForwardTrace(
         acts=acts,
-        pre_acts=pre_acts,
         probs=probs,
         feature_acts=feature_acts,
         alignment_layer=alignment_layer_index,
@@ -285,7 +281,7 @@ def backward(
         delta = (p * (g - (p * g).sum(axis=-1, keepdims=True))).swapaxes(-1, -2)
         top = model.n_layers - 1
     elif g_feat is not None and a > 0:
-        delta = g_feat * _activate_grad(trace.pre_acts[a - 1], model.hidden_activation)
+        delta = g_feat * _activate_grad(trace.acts[a], model.hidden_activation)
         top = a - 1
     else:
         top = -1  # nothing to backpropagate
@@ -301,7 +297,7 @@ def backward(
         g_act = model.weights[i].swapaxes(-1, -2) @ delta
         if g_feat is not None and a == i:
             g_act = g_act + g_feat
-        delta = g_act * _activate_grad(trace.pre_acts[i - 1], model.hidden_activation)
+        delta = g_act * _activate_grad(trace.acts[i], model.hidden_activation)
     return out
 
 

@@ -32,6 +32,7 @@ from .errors import (
     TooFewSamplesError,
 )
 from .network import LabeledBatch, MlpModel, ParamGrads, UnlabeledBatch
+from .spd import DEFAULT_JITTER_REL
 
 METHODS = ("source_only", "entropy_reg", "coral_euclidean", "meca_geodesic")
 METHOD_PENALTY_KIND = {
@@ -44,16 +45,17 @@ VAR_FLOOR = 1e-8
 
 @dataclass
 class TrainConfig:
+    """One training configuration; its defaults are the CLI's."""
+
     method: str = "meca_geodesic"
     lambda_or_gamma: float = 0.1
     epochs: int = 100
-    batch_size: int = 128
-    learning_rate: float = 0.01
+    batch_size: int = 16
+    learning_rate: float = 5e-4
     momentum: float = 0.9
     seed: int = 0
     alignment_layer_index: int | None = None  # None = penultimate layer
-    jitter_rel: float = 1e-5
-    normalize_cov: bool = False
+    jitter_rel: float = DEFAULT_JITTER_REL
 
     def validate(self) -> None:
         if self.method not in METHODS:
@@ -62,13 +64,21 @@ class TrainConfig:
             raise ConfigInvalidError(f"epochs must be >= 1, got {self.epochs}")
         if self.batch_size < 2:
             raise ConfigInvalidError(f"batch_size must be >= 2, got {self.batch_size}")
-        if not self.learning_rate > 0.0:
-            raise ConfigInvalidError(f"learning_rate must be > 0, got {self.learning_rate}")
+        if not 0.0 < self.learning_rate < np.inf:
+            raise ConfigInvalidError(
+                f"learning_rate must be finite and > 0, got {self.learning_rate}"
+            )
         if not 0.0 <= self.momentum < 1.0:
             raise ConfigInvalidError(f"momentum must be in [0, 1), got {self.momentum}")
         if not np.isfinite(self.lambda_or_gamma) or self.lambda_or_gamma < 0.0:
             raise ConfigInvalidError(
                 f"lambda/gamma must be finite and >= 0, got {self.lambda_or_gamma}"
+            )
+        if not 0.0 <= self.jitter_rel < np.inf:
+            raise ConfigInvalidError(f"jitter_rel must be finite and >= 0, got {self.jitter_rel}")
+        if self.alignment_layer_index is not None and self.alignment_layer_index < 0:
+            raise ConfigInvalidError(
+                f"alignment layer must be >= 0, got {self.alignment_layer_index}"
             )
 
 
@@ -160,8 +170,8 @@ def _epoch_metrics(
     """Full-set metrics of each lane of a stacked model."""
     trace_s = network.forward(model, source.inputs, config.alignment_layer_index)
     trace_t = network.forward(model, target.inputs, config.alignment_layer_index)
-    cs = covariance(trace_s.feature_acts, config.jitter_rel, config.normalize_cov)
-    ct = covariance(trace_t.feature_acts, config.jitter_rel, config.normalize_cov)
+    cs = covariance(trace_s.feature_acts, config.jitter_rel)
+    ct = covariance(trace_t.feature_acts, config.jitter_rel)
     h = network.cross_entropy(trace_s.probs, source.labels)
     e = network.entropy(trace_t.probs)
     pen = penalty_distance(cs, ct, metric_kind)
@@ -223,11 +233,8 @@ def _lane_grads(
         g_probs = np.concatenate([g_probs, lam * network.grad_entropy_wrt_probs(probs_t)], -2)
     elif fused:
         pen_val, ga_s, ga_t = penalty_value_and_grads(
-            trace.feature_acts[..., :b],
-            trace.feature_acts[..., b:],
-            METHOD_PENALTY_KIND[config.method],
-            config.jitter_rel,
-            config.normalize_cov,
+            trace.feature_acts[..., :b], trace.feature_acts[..., b:],
+            METHOD_PENALTY_KIND[config.method], config.jitter_rel,
         )
         total = total + lambdas * pen_val
         g_probs = np.concatenate([g_probs, np.zeros_like(g_probs)], -2)
@@ -352,6 +359,11 @@ def train_lanes(
     parameters of that moment and the Divergence, while the other lanes go on.
     """
     config.validate()
+    if (config.alignment_layer_index or 0) > model.n_layers - 1:
+        raise ConfigInvalidError(
+            f"alignment layer must be <= {model.n_layers - 1} (the penultimate layer), "
+            f"got {config.alignment_layer_index}"
+        )
     if eval_labels is not None and np.asarray(eval_labels).shape[0] != target.n:
         raise BadShapeError("eval_labels row count must match the target set")
     lambdas = np.array(lambdas, dtype=np.float64).reshape(-1)

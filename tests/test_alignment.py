@@ -49,11 +49,6 @@ class TestCovariance:
         shift = rng.standard_normal((3, 1))
         assert np.allclose(raw_covariance(a), raw_covariance(a + shift), atol=1e-12)
 
-    def test_normalized_variant(self):
-        rng = np.random.default_rng(2)
-        a = rng.standard_normal((3, 9))
-        assert np.allclose(raw_covariance(a, normalize=True), raw_covariance(a) / 8.0)
-
     def test_jitter_applied(self):
         a = np.array([[1.0, -1.0], [0.0, 0.0]])
         c = covariance(a, jitter_rel=1e-5)
@@ -92,21 +87,16 @@ class TestPenaltyGradients:
         assert np.max(np.abs(gs)) < 1e-8
         assert np.max(np.abs(gt)) < 1e-8
 
-    @pytest.mark.parametrize("kind,normalize", [
-        ("euclidean", False),
-        ("euclidean", True),
-        ("log_euclidean", False),
-        ("log_euclidean", True),
-    ])
-    def test_matches_finite_differences(self, kind, normalize):
+    @pytest.mark.parametrize("kind", ["euclidean", "log_euclidean"])
+    def test_matches_finite_differences(self, kind):
         rng = np.random.default_rng(5)
         a_s = rng.standard_normal((3, 5))
         a_t = rng.standard_normal((3, 5)) * 1.4 + 0.2
-        value, gs, gt = penalty_value_and_grads(a_s, a_t, kind, normalize=normalize)
+        value, gs, gt = penalty_value_and_grads(a_s, a_t, kind)
         assert value > 0.0
 
         def loss(s, t):
-            return penalty_value_and_grads(s, t, kind, normalize=normalize)[0]
+            return penalty_value_and_grads(s, t, kind)[0]
 
         h = 1e-5
         for arr, grad, which in ((a_s, gs, "s"), (a_t, gt, "t")):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from meca import cli
-from meca.trainer import METRICS_HEADER
+from meca.trainer import METRICS_HEADER, TrainConfig
 
 
 def run(*argv):
@@ -168,6 +168,43 @@ class TestTrain:
         for name in ("gamma", "both"):
             assert ((tmp_path / name / "metrics.csv").read_bytes()
                     == (tmp_path / "lambda" / "metrics.csv").read_bytes())
+
+    def test_normalize_cov_is_usage_error(self, tmp_path):
+        # the covariance is unnormalized; the weight sets its scale
+        src, tgt = gen_pair(tmp_path)
+        assert run("train", "--normalize-cov", "--source", str(src), "--target", str(tgt),
+                   "--out-dir", str(tmp_path / "norm"), *TINY_TRAIN) == 1
+
+    @pytest.mark.parametrize("flags", [
+        ["--align-layer", "7"],
+        ["--align-layer", "-1"],
+        ["--jitter", "-1"],
+        ["--jitter", "nan"],
+        ["--jitter", "inf"],
+        ["--lr", "inf"],
+    ])
+    @pytest.mark.parametrize("command", ["train", "sweep"])
+    def test_bad_training_option_is_usage_error(self, tmp_path, capsys, command, flags):
+        src, tgt = gen_pair(tmp_path)
+        assert run(command, "--source", str(src), "--target", str(tgt),
+                   "--out-dir", str(tmp_path / "bad"), *TINY_TRAIN, *flags) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("meca: invalid configuration: ") and err.count("\n") == 1
+
+    def test_zero_hidden_width_is_usage_error(self, tmp_path, capsys):
+        src, tgt = gen_pair(tmp_path)
+        assert run("train", "--source", str(src), "--target", str(tgt),
+                   "--out-dir", str(tmp_path / "bad"), *TINY_TRAIN, "--hidden", "8,0") == 1
+        assert "argument --hidden: layer widths must be >= 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["train", "sweep"])
+    def test_defaults_are_train_config_defaults(self, tmp_path, command):
+        src, tgt = gen_pair(tmp_path)
+        args = cli.build_parser().parse_args(
+            [command, "--source", str(src), "--target", str(tgt), "--out-dir", str(tmp_path)])
+        assert cli._set_up(args, TrainConfig().lambda_or_gamma).config == TrainConfig()
+        if command == "train":
+            assert cli._train_weight(args) == TrainConfig().lambda_or_gamma
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_divergence_exit_code(self, tmp_path, capsys):

@@ -59,6 +59,7 @@ def quick_config(**kwargs):
 class TestConfig:
     def test_valid(self):
         quick_config().validate()
+        quick_config(jitter_rel=0.0, alignment_layer_index=0).validate()
 
     @pytest.mark.parametrize(
         "field,value",
@@ -67,10 +68,16 @@ class TestConfig:
             ("epochs", 0),
             ("batch_size", 1),
             ("learning_rate", 0.0),
+            ("learning_rate", float("inf")),
+            ("learning_rate", float("nan")),
             ("momentum", 1.0),
             ("momentum", -0.1),
             ("lambda_or_gamma", -2.0),
             ("lambda_or_gamma", float("inf")),
+            ("jitter_rel", -1.0),
+            ("jitter_rel", float("nan")),
+            ("jitter_rel", float("inf")),
+            ("alignment_layer_index", -1),
         ],
     )
     def test_invalid(self, field, value):
@@ -141,6 +148,14 @@ class TestKlDiagnostic:
 
 
 class TestTrainRun:
+    @pytest.mark.parametrize("layer", [3, 7])
+    def test_alignment_layer_above_penultimate(self, layer):
+        # [4, 8, 5, 3] has activations 0 (the inputs) to 2 (the penultimate)
+        source_ds, target_ds = small_domains()
+        with pytest.raises(ConfigInvalidError, match="alignment layer must be <= 2"):
+            train_run(init_model([4, 8, 5, 3], seed=0), source_ds.as_labeled_batch(),
+                      target_ds.as_unlabeled_batch(), quick_config(alignment_layer_index=layer))
+
     def test_deterministic_per_seed(self):
         source_ds, target_ds = small_domains()
         source, target = source_ds.as_labeled_batch(), target_ds.as_unlabeled_batch()
@@ -410,8 +425,7 @@ def two_pass_grads(model, lambdas, xs, zs, xt, config):
         return grads.add_(network.backward(model, trace_t, g_probs_t, None))
     _, ga_s, ga_t = alignment.penalty_value_and_grads(
         trace_s.feature_acts, trace_t.feature_acts, METHOD_PENALTY_KIND[config.method],
-        config.jitter_rel, config.normalize_cov,
-    )
+        config.jitter_rel)
     grads = network.backward(model, trace_s, g_probs_s, lam * ga_s)
     return grads.add_(network.backward(model, trace_t, None, lam * ga_t))
 

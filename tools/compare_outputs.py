@@ -11,8 +11,9 @@ with both presets, ``train`` with each method, a ``train`` and a coral
 ``sweep`` that diverge, and the default ``sweep``.  Every file a command
 writes is compared byte for byte, as are the exit codes; a manifest is
 compared as JSON without ``wall_clock_seconds``, ``argv`` and ``artifacts``,
-which name paths and times.  Prints one line per difference and a count, and
-exits 1 when anything differs.
+which name paths and times, and each key at which two manifests differ is
+named (``manifest.json differs at config.method``).  Prints one line per
+difference and a count, and exits 1 when anything differs.
 """
 from __future__ import annotations
 
@@ -26,6 +27,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 MANIFEST_VOLATILE = ("wall_clock_seconds", "argv", "artifacts")
+MISSING = object()  # the value of a key that one manifest lacks
 RUN_MECA = (
     "import sys, meca, meca.cli; "
     "assert meca.__file__.startswith(sys.argv[1]), meca.__file__; "
@@ -81,14 +83,26 @@ def run(checkout: Path, argv: list[str], out: Path) -> int:
     return proc.returncode
 
 
-def same(a: Path, b: Path) -> bool:
+def json_diffs(a, b, at: str = "") -> list[str]:
+    """The dotted keys (list items as ``[i]``) at which two JSON values differ."""
+    if isinstance(a, dict) and isinstance(b, dict):
+        return [d for k in sorted(a.keys() | b.keys())
+                for d in json_diffs(a.get(k, MISSING), b.get(k, MISSING), f"{at}.{k}" if at else k)]
+    if isinstance(a, list) and isinstance(b, list) and len(a) == len(b):
+        return [d for i, (x, y) in enumerate(zip(a, b)) for d in json_diffs(x, y, f"{at}[{i}]")]
+    return [] if a == b else [at or "the top level"]
+
+
+def differences(a: Path, b: Path) -> list[str]:
+    """How two output files differ: none, "differs", or for a manifest one
+    "differs at KEY" per differing key."""
     if a.name != "manifest.json":
-        return a.read_bytes() == b.read_bytes()
+        return [] if a.read_bytes() == b.read_bytes() else ["differs"]
     ja, jb = (json.loads(p.read_text()) for p in (a, b))
     for key in MANIFEST_VOLATILE:
         ja.pop(key, None)
         jb.pop(key, None)
-    return ja == jb
+    return [f"differs at {key}" for key in json_diffs(ja, jb)]
 
 
 def compare(parent: Path, change: Path, draws: list[int], work: Path) -> list[str]:
@@ -110,8 +124,8 @@ def compare(parent: Path, change: Path, draws: list[int], work: Path) -> list[st
             diffs.append(f"{name}: {rel} written by one side only")
         for rel in sorted(names["parent"] & names["change"]):
             files += 1
-            if not same(outs["parent"] / rel, outs["change"] / rel):
-                diffs.append(f"{name}: {rel} differs")
+            diffs += [f"{name}: {rel} {how}"
+                      for how in differences(outs["parent"] / rel, outs["change"] / rel)]
         print(f"{name}: exit {codes['parent']}, {len(names['parent'])} files", file=sys.stderr)
     print(f"{len(cmds)} commands, {files} files compared, {len(diffs)} differences")
     return diffs
